@@ -41,7 +41,6 @@ fn run(guided: bool) -> QueryOutcome {
     let query = parse(QUERY).expect("parses");
     let mut opts = ExecOptions::from_query(&query);
     if guided {
-        opts.guided = true;
         opts.screen = true;
         opts.rank = true;
         opts.early_stop = true;

@@ -75,7 +75,6 @@ fn main() {
         let mut opts = ExecOptions::from_query(&query);
         opts.threads = workers;
         if guided {
-            opts.guided = true;
             opts.screen = true;
             opts.rank = true;
             opts.early_stop = true;

@@ -61,8 +61,9 @@ fn main() {
     };
 
     // The exhaustive pass parallelizes across the farm; the pruned pass
-    // stays serial, because dominance pruning consumes results in run
-    // order — which runs get skipped must not depend on completion order.
+    // stays serial so its timing is the single-worker cost of pruning.
+    // (Which runs get skipped depends on plan order alone, at any worker
+    // count.)
     let (full, full_t) = run_with(false, workers);
     let (pruned, pruned_t) = run_with(true, 1);
     eprintln!(

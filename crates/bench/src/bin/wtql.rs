@@ -21,9 +21,9 @@
 //!   by the guided-sweep experiments,
 //! * `--explain` prints the optimizer plan and exits without simulating,
 //! * `--csv` exports every recorded run for external plotting,
-//! * `--workers N` (alias `--threads`) sizes the farm pool `run_query`'s
-//!   [`windtunnel::sweep::SweepRunner`] dispatches onto.
-//!   stdout is byte-identical for any worker count (with `prune = FALSE`);
+//! * `--workers N` (alias `--threads`) sizes the worker pool of the
+//!   [`windtunnel::sweep::SweepRunner`] every query runs on.
+//!   stdout is byte-identical for any worker count, pruning included;
 //!   wall-clock timing goes to stderr.
 //!
 //! All statements in one invocation share a single result store, so a

@@ -121,8 +121,8 @@ impl Farm {
     }
 
     /// Whether the stderr progress heartbeat is enabled. Execution paths
-    /// that schedule work themselves (the guided sweep runner) read this
-    /// to decide whether to drive their own [`wt_obs::Heartbeat`].
+    /// that schedule work themselves (`SweepRunner::run_points`) read
+    /// this to decide whether to drive their own [`wt_obs::Heartbeat`].
     pub fn heartbeat_enabled(&self) -> bool {
         self.heartbeat
     }
@@ -341,7 +341,7 @@ fn chunk_size(n: usize) -> usize {
 /// numerically — the marks map is ordered by string, which would put
 /// `partition/10` before `partition/2`. Runs without partition marks
 /// (serial execution) feed nothing and leave the progress line as is.
-fn observe_partition_marks(beat: &mut wt_obs::Heartbeat, marks: &BTreeMap<String, u64>) {
+pub(crate) fn observe_partition_marks(beat: &mut wt_obs::Heartbeat, marks: &BTreeMap<String, u64>) {
     let mut per_part: Vec<u64> = Vec::new();
     for (key, &events) in marks {
         let Some(idx) = key

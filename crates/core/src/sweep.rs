@@ -21,9 +21,11 @@
 //! * [`SweepReport`] renders a [`SweepOutcome`] as the fixed-width
 //!   [`Table`] the experiment binaries print.
 //!
-//! The WTQL executor (`wt-wtql`) runs its `EXPLORE` grids through
-//! [`SweepRunner::run_points`] — the query language and the `e*`
-//! binaries share this one execution path.
+//! The WTQL executor (`wt-wtql`) runs every query's grid through
+//! [`SweepRunner::run_points`], a dependency-DAG scheduler: dominance
+//! edges gate each point on the points that could prune it, and a rank
+//! function picks among the eligible ones. An exhaustive query is that
+//! scheduler with every guided stage off and rank = plan order.
 //!
 //! ```
 //! use std::collections::BTreeMap;
@@ -45,12 +47,14 @@
 //! assert_eq!(store.len(), 8); // one record per (point × replication)
 //! ```
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
-use crate::farm::{substream_seed, Farm, RunCtx};
+use crate::farm::{observe_partition_marks, substream_seed, Farm, RunCtx};
 use crate::report::Table;
 use wt_des::{QuantileSketch, Tally};
 use wt_store::{ParamValue, RecordSink, RunRecord, SharedStore, StoreShard};
@@ -542,14 +546,19 @@ impl GuidedCounters {
     }
 }
 
-/// Mutable scheduler state for the guided runner, held under one mutex.
-struct GuidedSched {
+/// Mutable scheduler state for [`SweepRunner::run_points`], held under
+/// one mutex.
+struct Sched {
     /// Eligible, unclaimed point indices.
     ready: Vec<usize>,
     /// Unfinished-dependency count per point.
     remaining: Vec<usize>,
-    /// Points claimed by a worker so far (issued ⇒ eventually completes).
+    /// Points claimed by a worker so far (issued ⇒ eventually completes,
+    /// unless a point panics).
     issued: usize,
+    /// The first panic payload caught from the evaluation closure; once
+    /// set, workers stop claiming and the caller resumes the unwind.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// Picks the position in `ready` of the point maximizing `rank`, breaking
@@ -692,23 +701,10 @@ impl SweepRunner {
         }
     }
 
-    /// The generic recorded path: one closure call per grid *point*
-    /// (no replication fan-out, no aggregation), returning whatever the
-    /// closure returns, in grid order. WTQL's executor runs its planned
-    /// configuration order through this.
-    pub fn run_points<R, F>(&self, grid: &SweepGrid, store: &SharedStore, eval: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&SweepPoint, RunCtx, &dyn RecordSink) -> R + Sync,
-    {
-        self.farm
-            .run_recorded(grid.root_seed, &grid.points, store, |point, ctx, shard| {
-                eval(point, ctx, shard)
-            })
-    }
-
-    /// The guided recorded path: [`SweepRunner::run_points`] with a
-    /// runtime-chosen execution order (DESIGN.md §12).
+    /// The recorded path: one closure call per grid *point* (no
+    /// replication fan-out, no aggregation), returning whatever the
+    /// closure returns, in grid order. WTQL's executor runs every query
+    /// through this; DESIGN.md §13 describes the stages it schedules.
     ///
     /// `deps[i]` lists point indices that must complete before point `i`
     /// may start — each must be **strictly smaller** than `i` (asserted),
@@ -716,22 +712,27 @@ impl SweepRunner {
     /// stall-free. Among eligible points, the one maximizing `rank(index)`
     /// runs next (ties break toward the lowest index); `rank` is consulted
     /// at every claim, so a surrogate that re-ranks as results land steers
-    /// the frontier immediately.
+    /// the frontier immediately. Plain plan-order execution is empty
+    /// `deps` and `rank = |i| -(i as f64)`.
     ///
     /// Ordering is a *performance* lever, never a correctness one: every
-    /// point's seed derives from its grid index exactly as in
-    /// [`SweepRunner::run_points`], each point records into a private
+    /// point's seed derives from its grid index (a [`substream_seed`] of
+    /// the grid's root seed), each point records into a private
     /// [`StoreShard`], and shards merge into `store` in grid-index order
     /// after all points finish — so for a fixed evaluation closure the
-    /// returned vector and the store bytes are identical to the exhaustive
-    /// path at any worker count and under any rank function. (A closure
-    /// that consults earlier verdicts — dominance pruning — is exactly
-    /// what `deps` sequences.)
+    /// returned vector and the store bytes are identical at any worker
+    /// count and under any rank function. (A closure that consults
+    /// earlier verdicts — dominance pruning — is exactly what `deps`
+    /// sequences.)
     ///
     /// `counters` feed the stderr heartbeat (when the farm has one) with
-    /// screened/aborted/early-stopped totals; pass a fresh
-    /// [`GuidedCounters`] if the closure never increments any.
-    pub fn run_points_guided<R, F>(
+    /// screened/aborted/early-stopped totals once any is non-zero; pass a
+    /// fresh [`GuidedCounters`] if the closure never increments any.
+    ///
+    /// A panic in `eval` stops the run: the remaining workers claim
+    /// nothing further, and the panic resumes on the calling thread once
+    /// every worker has exited.
+    pub fn run_points<R, F>(
         &self,
         grid: &SweepGrid,
         store: &SharedStore,
@@ -751,7 +752,7 @@ impl SweepRunner {
         for (i, ds) in deps.iter().enumerate() {
             remaining[i] = ds.len();
             for &d in ds {
-                assert!(d < i, "guided dep {d} of point {i} is not strictly earlier");
+                assert!(d < i, "dep {d} of point {i} is not strictly earlier");
                 dependents[d].push(i);
             }
         }
@@ -761,107 +762,112 @@ impl SweepRunner {
             index,
             seed: substream_seed(root, index as u64),
         };
+        // Heartbeat lives on the calling thread only, fed from each
+        // finished point's shard; stderr only, result bytes unaffected.
         let mut beat = self
             .farm
             .heartbeat_enabled()
             .then(|| wt_obs::Heartbeat::start(n));
-        let pulse = |shard: &StoreShard, beat: &mut Option<wt_obs::Heartbeat>| {
+        let mut pulse = |shard: &StoreShard| {
             if let Some(b) = beat.as_mut() {
                 shard.peek(|rec| {
                     if let Some(t) = &rec.telemetry {
                         b.observe_run(t.events, t.wall.wall_us);
+                        observe_partition_marks(b, &t.marks);
                     }
                 });
-                b.observe_guided(
+                let totals = (
                     counters.screened(),
                     counters.aborted(),
                     counters.early_stopped(),
                 );
+                if totals != (0, 0, 0) {
+                    b.observe_guided(totals.0, totals.1, totals.2);
+                }
                 if let Some(line) = b.tick() {
                     eprintln!("{line}");
                 }
             }
         };
 
+        let state = Mutex::new(Sched {
+            ready,
+            remaining,
+            issued: 0,
+            panic: None,
+        });
+        let cv = Condvar::new();
         let mut slots: Vec<Option<(R, StoreShard)>> = (0..n).map(|_| None).collect();
-        if self.farm.workers() == 1 || n <= 1 {
-            let mut ready = ready;
-            let mut remaining = remaining;
-            for _ in 0..n {
-                let pos = pick_ready(&ready, rank).expect("guided scheduler stalled");
-                let i = ready.swap_remove(pos);
-                let shard = StoreShard::new();
-                let r = eval(&grid.points[i], ctx(i), &shard);
-                pulse(&shard, &mut beat);
-                slots[i] = Some((r, shard));
-                for &j in &dependents[i] {
-                    remaining[j] -= 1;
-                    if remaining[j] == 0 {
-                        ready.push(j);
-                    }
-                }
-            }
-        } else {
-            let state = Mutex::new(GuidedSched {
-                ready,
-                remaining,
-                issued: 0,
-            });
-            let cv = Condvar::new();
-            let (tx, rx) = mpsc::channel::<(usize, R, StoreShard)>();
-            std::thread::scope(|scope| {
-                for _ in 0..self.farm.workers().min(n) {
-                    let tx = tx.clone();
-                    let (state, cv) = (&state, &cv);
-                    let (eval, dependents) = (&eval, &dependents);
-                    scope.spawn(move || loop {
-                        let i = {
-                            let mut s = state.lock().unwrap();
-                            loop {
-                                if s.issued == n {
-                                    return;
-                                }
-                                if let Some(pos) = pick_ready(&s.ready, rank) {
-                                    s.issued += 1;
-                                    break s.ready.swap_remove(pos);
-                                }
-                                // Ready set is empty but points remain:
-                                // some issued point is still running (deps
-                                // chain down to an initially-ready point)
-                                // and will notify on completion.
-                                s = cv.wait(s).unwrap();
+        let (tx, rx) = mpsc::channel::<(usize, R, StoreShard)>();
+        std::thread::scope(|scope| {
+            for _ in 0..self.farm.workers().min(n) {
+                let tx = tx.clone();
+                let (state, cv) = (&state, &cv);
+                let (eval, dependents) = (&eval, &dependents);
+                scope.spawn(move || loop {
+                    let i = {
+                        let mut s = state.lock().unwrap();
+                        loop {
+                            if s.issued == n || s.panic.is_some() {
+                                return;
                             }
-                        };
-                        let shard = StoreShard::new();
-                        let r = eval(&grid.points[i], ctx(i), &shard);
-                        {
-                            let mut s = state.lock().unwrap();
+                            if let Some(pos) = pick_ready(&s.ready, rank) {
+                                s.issued += 1;
+                                break s.ready.swap_remove(pos);
+                            }
+                            // Ready set is empty but points remain: some
+                            // issued point is still running (deps chain
+                            // down to an initially-ready point) and will
+                            // notify on completion.
+                            s = cv.wait(s).unwrap();
+                        }
+                    };
+                    let shard = StoreShard::new();
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                        eval(&grid.points[i], ctx(i), &shard)
+                    }));
+                    let mut s = state.lock().unwrap();
+                    match result {
+                        Ok(r) => {
                             for &j in &dependents[i] {
                                 s.remaining[j] -= 1;
                                 if s.remaining[j] == 0 {
                                     s.ready.push(j);
                                 }
                             }
+                            drop(s);
+                            cv.notify_all();
+                            if tx.send((i, r, shard)).is_err() {
+                                return; // receiver gone: caller is unwinding
+                            }
                         }
-                        cv.notify_all();
-                        if tx.send((i, r, shard)).is_err() {
-                            return; // receiver gone: caller is unwinding
+                        Err(payload) => {
+                            // The point's dependents can never become
+                            // ready: wake every waiting worker so it
+                            // sees the failure and exits.
+                            s.panic.get_or_insert(payload);
+                            drop(s);
+                            cv.notify_all();
+                            return;
                         }
-                    });
-                }
-                drop(tx); // the receive loop ends when the last worker exits
-                for (i, r, shard) in rx {
-                    pulse(&shard, &mut beat);
-                    slots[i] = Some((r, shard));
-                }
-            });
+                    }
+                });
+            }
+            drop(tx); // the receive loop ends when the last worker exits
+            for (i, r, shard) in rx {
+                pulse(&shard);
+                slots[i] = Some((r, shard));
+            }
+        });
+        if let Some(payload) = state.into_inner().unwrap().panic {
+            panic::resume_unwind(payload);
         }
 
-        // Merge in grid-index order: record ids and snapshot order match
-        // the exhaustive path bitwise, whatever order execution took.
+        // Merge in grid-index order: record ids and snapshot order are
+        // the same whatever order execution took.
         let mut results = Vec::with_capacity(n);
         for slot in slots {
-            let (r, shard) = slot.expect("guided scheduler lost a point");
+            let (r, shard) = slot.expect("scheduler lost a point");
             store.merge_shard(shard);
             results.push(r);
         }
@@ -1186,7 +1192,10 @@ mod tests {
         let grid = guided_demo_grid(20);
         let deps = vec![Vec::new(); grid.len()];
         let gold_store = SharedStore::new();
-        let gold = SweepRunner::serial().run_points(&grid, &gold_store, guided_eval);
+        let gold =
+            Farm::new(1).run_recorded(grid.root_seed, &grid.points, &gold_store, |p, c, s| {
+                guided_eval(p, c, s)
+            });
         // Rank functions that reverse, scramble, and degenerate (NaN):
         // none may perturb results or record bytes, at any worker count.
         let ranks: Vec<Box<dyn Fn(usize) -> f64 + Sync>> = vec![
@@ -1199,7 +1208,7 @@ mod tests {
             for rank in &ranks {
                 let store = SharedStore::new();
                 let counters = GuidedCounters::new();
-                let out = SweepRunner::new(Farm::new(workers)).run_points_guided(
+                let out = SweepRunner::new(Farm::new(workers)).run_points(
                     &grid,
                     &store,
                     &deps,
@@ -1223,7 +1232,7 @@ mod tests {
         let deps = vec![Vec::new(); grid.len()];
         let order = Mutex::new(Vec::new());
         let store = SharedStore::new();
-        SweepRunner::serial().run_points_guided(
+        SweepRunner::serial().run_points(
             &grid,
             &store,
             &deps,
@@ -1235,7 +1244,7 @@ mod tests {
         assert_eq!(*order.lock().unwrap(), vec![5, 4, 3, 2, 1, 0]);
         // A constant rank breaks ties toward the lowest index.
         let order = Mutex::new(Vec::new());
-        SweepRunner::serial().run_points_guided(
+        SweepRunner::serial().run_points(
             &grid,
             &store,
             &deps,
@@ -1268,7 +1277,7 @@ mod tests {
                 f.store(false, Ordering::SeqCst);
             }
             let store = SharedStore::new();
-            SweepRunner::new(Farm::new(workers)).run_points_guided(
+            SweepRunner::new(Farm::new(workers)).run_points(
                 &grid,
                 &store,
                 &deps,
@@ -1294,7 +1303,7 @@ mod tests {
         let grid = guided_demo_grid(2);
         let deps = vec![vec![1], Vec::new()];
         let store = SharedStore::new();
-        SweepRunner::serial().run_points_guided(
+        SweepRunner::serial().run_points(
             &grid,
             &store,
             &deps,
@@ -1302,6 +1311,80 @@ mod tests {
             &GuidedCounters::new(),
             |_p, _c, _s| (),
         );
+    }
+
+    #[test]
+    fn panicking_point_stops_every_worker() {
+        // Point 0 panics; 1..3 chain behind it and can never become
+        // ready. The other worker must not wait for them forever: the
+        // panic has to reach the caller.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let grid = guided_demo_grid(4);
+            let deps = vec![vec![], vec![0], vec![1], vec![2]];
+            let store = SharedStore::new();
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                SweepRunner::new(Farm::new(2)).run_points(
+                    &grid,
+                    &store,
+                    &deps,
+                    &|_| 0.0,
+                    &GuidedCounters::new(),
+                    |point, _ctx, _sink| {
+                        if point.index == 0 {
+                            panic!("point 0 failed");
+                        }
+                    },
+                )
+            }));
+            let message = caught
+                .err()
+                .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = tx.send((message, store.len()));
+        });
+        let (message, records) = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("runner hung after a point panicked");
+        assert_eq!(message.as_deref(), Some("point 0 failed"));
+        assert_eq!(records, 0, "a failed run merges nothing");
+    }
+
+    #[test]
+    fn heartbeat_skims_partitions_and_counters_without_changing_results() {
+        use wt_obs::RunTelemetry;
+        let grid = guided_demo_grid(12);
+        let deps: Vec<Vec<usize>> = (0..12).map(|i| (0..i % 3).collect()).collect();
+        let run = |workers: usize, heartbeat: bool| {
+            let counters = GuidedCounters::new();
+            let store = SharedStore::new();
+            let out = SweepRunner::new(Farm::new(workers).with_heartbeat(heartbeat)).run_points(
+                &grid,
+                &store,
+                &deps,
+                &|i| i as f64,
+                &counters,
+                |point, ctx, sink| {
+                    let mut t = RunTelemetry {
+                        events: 100 + point.index as u64,
+                        ..Default::default()
+                    };
+                    t.marks.insert("partition/0".into(), 40);
+                    t.marks
+                        .insert("partition/1".into(), 60 + point.index as u64);
+                    sink.record(point.record("hb", ctx.seed).telemetry(t));
+                    if point.index % 4 == 0 {
+                        counters.note_screened();
+                    }
+                    ctx.seed
+                },
+            );
+            (out, store.snapshot(), counters.screened())
+        };
+        let quiet = run(1, false);
+        assert_eq!(quiet.2, 3);
+        for workers in [1, 2] {
+            assert_eq!(run(workers, true), quiet, "heartbeat changed results");
+        }
     }
 
     #[test]
@@ -1317,7 +1400,7 @@ mod tests {
 
         let grid = guided_demo_grid(0);
         let store = SharedStore::new();
-        let out: Vec<()> = SweepRunner::new(Farm::new(4)).run_points_guided(
+        let out: Vec<()> = SweepRunner::new(Farm::new(4)).run_points(
             &grid,
             &store,
             &[],

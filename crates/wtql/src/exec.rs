@@ -1,38 +1,43 @@
 //! The query executor: parallel run dispatch, dominance pruning, early
-//! abort (§4.2), and the guided execution mode (DESIGN.md §12).
+//! abort (§4.2), and the guided stages (DESIGN.md §13).
 //!
-//! Since the declarative-sweep refactor, dispatch is not bespoke: the
-//! planned configuration order becomes an explicit
-//! [`windtunnel::sweep::SweepGrid`] and runs through
-//! [`windtunnel::sweep::SweepRunner`] — the same engine the experiment
-//! binaries use. This module adds only what queries need on top:
-//! dominance pruning, probe-and-abort, replication averaging, and the
-//! constraint/objective verdicts.
+//! Every query runs on one executor: the planned configuration order
+//! becomes an explicit [`windtunnel::sweep::SweepGrid`] and runs through
+//! [`windtunnel::sweep::SweepRunner::run_points`], a dependency-DAG
+//! scheduler. Dominance pruning is its dependency edges — a point starts
+//! only once every configuration that could prune it has a verdict — so
+//! verdicts depend on plan order alone, never on worker count. This
+//! module adds only what queries need on top: the dominance edges,
+//! probe-and-abort, replication averaging, and the constraint/objective
+//! verdicts.
 //!
-//! The `GUIDED` clause (or `OPTIONS guided = TRUE`) switches dispatch to
-//! [`windtunnel::sweep::SweepRunner::run_points_guided`] and arms three
-//! cooperating stages, each individually toggleable and each off by
-//! default:
+//! Four stage flags, each off by default, decide how much simulation a
+//! query spends; an *exhaustive* query is one with every stage off, run
+//! in plan order. The `GUIDED` clause (or `OPTIONS guided = TRUE`) arms
+//! all four, and OPTIONS can then disable each one:
 //!
-//! 1. **Analytic screening** — conservative closed-form bounds
-//!    (`wt-analytic` via `wt-cluster`'s extraction) resolve a point's
-//!    verdict without simulating it; such rows are marked `screened` and
-//!    record a synthetic `verdict_source = "screened"` provenance record.
-//! 2. **Surrogate ranking** — a ridge-regression surrogate over the
-//!    numeric axes re-ranks the unexecuted frontier toward
+//! 1. **Analytic screening** (`screen`) — conservative closed-form
+//!    bounds (`wt-analytic` via `wt-cluster`'s extraction) resolve a
+//!    point's verdict without simulating it; such rows are marked
+//!    `screened` and record a synthetic `verdict_source = "screened"`
+//!    provenance record.
+//! 2. **Surrogate ranking** (`rank`) — a ridge-regression surrogate over
+//!    the numeric axes re-ranks the unexecuted frontier toward
 //!    likely-infeasible points so dominance pruning fires sooner.
 //!    Ranking only reorders work; it never touches a verdict.
-//! 3. **Early stopping** — a short sketch probe aborts hopeless perf
-//!    runs at the probe horizon, and per-constraint confidence intervals
-//!    stop replication loops once the verdict is already confident
-//!    (never below two recorded replications).
+//! 3. **Early stopping** (`sketch_abort`, `early_stop`) — a short sketch
+//!    probe aborts hopeless perf runs at the probe horizon, and
+//!    per-constraint confidence intervals stop replication loops once
+//!    the verdict is already confident (never below two recorded
+//!    replications).
 
 use crate::ast::{Comparison, Constraint, Query};
 use crate::bind::{apply_assignment, is_known_axis, resolve_injection};
 use crate::error::WtqlError;
 use crate::plan::{Assignment, Plan};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use windtunnel::analytic::screen::{Rel, ScreenVerdict};
 use windtunnel::cluster::screen::{availability_screen, perf_screen};
 use windtunnel::cluster::Scenario;
@@ -61,10 +66,6 @@ pub struct ExecOptions {
     /// averaged over seeds (variance reduction for the bursty availability
     /// metrics). 1 = single run.
     pub replications: usize,
-    /// Guided execution: dispatch through the guided sweep runner. Set
-    /// by the `GUIDED` clause, which also arms the four stage toggles
-    /// below; each can then be disabled individually via OPTIONS.
-    pub guided: bool,
     /// Analytic screening (guided stage 1): resolve points whose verdict
     /// a conservative closed-form bound already decides, without DES.
     pub screen: bool,
@@ -96,7 +97,6 @@ impl Default for ExecOptions {
             probe_fraction: 0.1,
             abort_margin: 0.01,
             replications: 1,
-            guided: false,
             screen: false,
             rank: false,
             early_stop: false,
@@ -109,11 +109,12 @@ impl Default for ExecOptions {
 
 impl ExecOptions {
     /// Reads overrides from the query's OPTIONS clause
-    /// (`OPTIONS threads = 4, prune = FALSE, early_abort = TRUE`).
+    /// (`OPTIONS threads = 4, prune = FALSE, early_abort = TRUE`). The
+    /// `GUIDED` clause arms the four guided stages; each can then be
+    /// disabled individually via OPTIONS.
     pub fn from_query(query: &Query) -> Self {
         let mut o = ExecOptions::default();
         if query.guided {
-            o.guided = true;
             o.screen = true;
             o.rank = true;
             o.early_stop = true;
@@ -156,7 +157,6 @@ impl ExecOptions {
                 // `screen = FALSE` can still disable one stage.
                 "guided" => {
                     if let wt_store::ParamValue::Bool(b) = value {
-                        o.guided = *b;
                         o.screen = *b;
                         o.rank = *b;
                         o.early_stop = *b;
@@ -412,105 +412,206 @@ fn needed_engines(query: &Query) -> (bool, bool) {
 
 /// Executes a query against a base scenario through a wind tunnel.
 ///
+/// Every query runs on one executor,
+/// [`SweepRunner::run_points`], with the dominance relation as explicit
+/// dependency edges: a point starts only after every configuration that
+/// could prune it has a verdict, so the prune check is a plain table
+/// read — no waiting, no ordering races — and the runner is free to
+/// execute the rest of the frontier in any order. Verdicts therefore
+/// depend only on the plan order, never on worker count or scheduling.
+///
+/// The four stage flags decide what else happens (DESIGN.md §13); with
+/// all of them off the query runs exhaustively in plan order. Ranking
+/// spends the runner's ordering freedom: a surrogate re-ranks eligible
+/// points toward likely constraint violators so failures (and the prunes
+/// they unlock) surface early. Screening resolves points analytically
+/// before any DES runs; sketch aborts and replication early-stop act
+/// inside the shared per-point evaluation. Per-point pass/fail/prune
+/// flags and the winning row do not depend on the flags, because screens
+/// are conservative (they only decide what the DES would also decide),
+/// ranking only reorders, and pass-screening is restricted to queries
+/// whose objective needs no simulated metric.
+///
 /// Every fully-simulated run also lands in the tunnel's result store.
-/// With `opts.guided` set (the `GUIDED` clause), dispatch goes through
-/// the guided runner instead — same verdicts, fewer simulated events.
 pub fn run_query(
     query: &Query,
     base: &Scenario,
     tunnel: &WindTunnel,
     opts: &ExecOptions,
 ) -> Result<QueryOutcome, WtqlError> {
-    if opts.guided {
-        return run_query_guided(query, base, tunnel, opts);
-    }
     validate_metrics(query)?;
     let plan = Plan::build(query)?;
     let n = plan.len();
-
     let (needs_avail, needs_perf) = needed_engines(query);
 
-    // EXPLORE grids execute through the same declarative sweep engine
-    // as the experiment binaries: the planned configuration order
-    // becomes an explicit `SweepGrid` (execution order is the
-    // optimizer's, not the canonical enumeration), and `SweepRunner`
-    // handles dispatch, in-order collection, and sharded recording —
-    // each configuration's runs land in a private `StoreShard` that is
-    // merged into the tunnel's store in plan order, so record ids are
-    // deterministic for any thread count.
-    //
-    // Pruning is *deterministic*: every configuration gets a verdict
-    // (passed / failed / pruned) in a shared table, and a configuration
-    // blocks until all dominating configurations *earlier in plan order*
-    // have verdicts, then prunes iff one of them failed. Verdicts
-    // therefore depend only on the plan order, never on worker count or
-    // scheduling. The wait cannot deadlock: dependencies have strictly
-    // smaller plan indices, and the farm claims index ranges as an
-    // ascending prefix and walks each range in ascending order, so the
-    // minimal undecided index is always being executed and its
-    // dependencies are all decided. A pruned configuration deliberately
-    // gets a non-failed verdict: whatever failure dominated it also
+    // Dominance edges: point i waits on every earlier-planned point that
+    // could prune it. Strictly-earlier by plan construction (the plan
+    // sorts best-first on the monotone axes, and domination points
+    // "down" that order), which is exactly what the runner requires.
+    let deps: Vec<Vec<usize>> = if opts.prune {
+        (0..n)
+            .map(|i| {
+                (0..i)
+                    .filter(|&j| plan.dominated_by_failure(&plan.configs[i], &plan.configs[j]))
+                    .collect()
+            })
+            .collect()
+    } else {
+        vec![Vec::new(); n]
+    };
+    // Failed verdicts, the only ones that prune. A pruned point is
+    // deliberately not marked failed: whatever failure dominated it also
     // dominates (by transitivity) everything it dominates.
-    let verdicts: Mutex<Vec<Option<Verdict>>> = Mutex::new(vec![None; n]);
-    let decided = Condvar::new();
+    let failed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+    let counters = GuidedCounters::new();
+
+    // Surrogate features: the axes that are numeric across the whole
+    // grid. Categorical axes are invisible to the model — acceptable,
+    // since a bad fit only costs ordering, never verdicts.
+    let axes = plan.configs.first().map_or(0, |c| c.len());
+    let feat_idx: Vec<usize> = (0..axes)
+        .filter(|&k| {
+            plan.configs
+                .iter()
+                .all(|c| matches!(c[k].1, ParamValue::Num(_)))
+        })
+        .collect();
+    let features = |i: usize| -> Vec<f64> {
+        feat_idx
+            .iter()
+            .map(|&k| plan.configs[i][k].1.as_num().expect("numeric axis"))
+            .collect()
+    };
+    struct RankState {
+        samples: Vec<(Vec<f64>, f64)>,
+        model: Option<Surrogate>,
+    }
+    let rank_state: Mutex<RankState> = Mutex::new(RankState {
+        samples: Vec::new(),
+        model: None,
+    });
+    // Rank = predicted constraint risk; highest runs first. Until a
+    // model exists (or with ranking off), `-index` preserves plan order.
+    let rank = |i: usize| -> f64 {
+        if opts.rank && !feat_idx.is_empty() {
+            if let Some(model) = &rank_state.lock().model {
+                return model.predict(&features(i));
+            }
+        }
+        -(i as f64)
+    };
+    // Feed one decided row back into the surrogate: the response is the
+    // worst signed constraint violation, normalized per-constraint so
+    // availability gaps and latency overshoots share a scale. Screened
+    // failures and aborts count as full violations.
+    let observe = |i: usize, row: &RunRow| {
+        if !opts.rank || feat_idx.is_empty() || row.pruned {
+            return;
+        }
+        let y = if row.aborted || (row.screened && !row.passes) {
+            1.0
+        } else {
+            guided_risk(query, row)
+        };
+        let mut st = rank_state.lock();
+        st.samples.push((features(i), y));
+        let xs: Vec<&[f64]> = st.samples.iter().map(|(x, _)| &x[..]).collect();
+        let ys: Vec<f64> = st.samples.iter().map(|(_, y)| *y).collect();
+        st.model = Surrogate::fit(&xs, &ys, 1e-3);
+    };
+
     let grid = SweepGrid::explicit("wtql-explore", base.seed, plan.configs.clone());
     debug_assert_eq!(grid.len(), n);
     let runner = SweepRunner::new(Farm::new(opts.threads));
-    let rows: Vec<RunRow> = runner.run_points(&grid, tunnel.store(), |point, _ctx, sink| {
-        let assignment = &point.assignment;
+    let rows: Vec<RunRow> = runner.run_points(
+        &grid,
+        tunnel.store(),
+        &deps,
+        &rank,
+        &counters,
+        |point, _ctx, sink| {
+            let assignment = &point.assignment;
 
-        // Dominance check against every earlier-planned configuration.
-        if opts.prune {
-            let deps: Vec<usize> = (0..point.index)
-                .filter(|&j| plan.dominated_by_failure(assignment, &plan.configs[j]))
-                .collect();
-            let mut table = verdicts.lock();
-            let dominated = loop {
-                if deps.iter().any(|&j| table[j] == Some(Verdict::Failed)) {
-                    break true;
-                }
-                if deps.iter().all(|&j| table[j].is_some()) {
-                    break false;
-                }
-                decided.wait(&mut table);
-            };
-            if dominated {
-                table[point.index] = Some(Verdict::Pruned);
-                decided.notify_all();
-                drop(table);
+            // Dominance check. Every dependency finished before this
+            // point was released (the runner's scheduler lock orders its
+            // store before this load), so its verdict is final — no wait.
+            if deps[point.index]
+                .iter()
+                .any(|&j| failed[j].load(Ordering::Relaxed))
+            {
                 return pruned_row(assignment);
             }
-        }
 
-        let row = evaluate(
-            query,
-            base,
-            tunnel,
-            assignment,
-            needs_avail,
-            needs_perf,
-            opts,
-            sink,
-        );
-        let row = row.unwrap_or_else(|_| failed_row(assignment));
-        if opts.prune {
-            let verdict = if !row.passes && !query.constraints.is_empty() {
-                Verdict::Failed
-            } else {
-                Verdict::Passed
+            let row = match build_scenario(query, base, assignment) {
+                Ok(scenario) => {
+                    let screened = if opts.screen && !query.constraints.is_empty() {
+                        screen_point(query, &scenario, opts)
+                    } else {
+                        None
+                    };
+                    match screened {
+                        // A screen may settle "pass" only when the
+                        // objective needs no simulated metric — otherwise
+                        // the row could never win and the best row would
+                        // diverge from the exhaustive run's.
+                        Some(passes) if !passes || objective_is_exact(query) => {
+                            let metrics = cost_metrics(tunnel, &scenario);
+                            let mut rec = point
+                                .record("screened", scenario.seed)
+                                .param("verdict_source", "screened");
+                            for (k, v) in &metrics {
+                                rec = rec.metric(k.clone(), *v);
+                            }
+                            sink.record(rec);
+                            RunRow {
+                                assignment: assignment.clone(),
+                                metrics,
+                                passes,
+                                pruned: false,
+                                aborted: false,
+                                screened: true,
+                                early_stopped: false,
+                                sim_events_executed: 0,
+                            }
+                        }
+                        _ => evaluate(
+                            query,
+                            &scenario,
+                            tunnel,
+                            assignment,
+                            needs_avail,
+                            needs_perf,
+                            opts,
+                            sink,
+                        ),
+                    }
+                }
+                Err(_) => failed_row(assignment),
             };
-            let mut table = verdicts.lock();
-            table[point.index] = Some(verdict);
-            decided.notify_all();
-        }
-        row
-    });
+
+            failed[point.index].store(
+                !row.passes && !query.constraints.is_empty(),
+                Ordering::Relaxed,
+            );
+            if row.screened {
+                counters.note_screened();
+            }
+            if row.aborted {
+                counters.note_aborted();
+            }
+            if row.early_stopped {
+                counters.note_early_stopped();
+            }
+            observe(point.index, &row);
+            row
+        },
+    );
+
     Ok(summarize(query, rows))
 }
 
 /// Folds per-configuration rows into the query outcome: counters,
-/// event totals, and the objective-best passing row. Shared verbatim by
-/// the exhaustive and guided paths so their summaries cannot diverge.
+/// event totals, and the objective-best passing row.
 fn summarize(query: &Query, rows: Vec<RunRow>) -> QueryOutcome {
     let executed = rows
         .iter()
@@ -577,219 +678,6 @@ fn failed_row(assignment: &Assignment) -> RunRow {
         early_stopped: false,
         sim_events_executed: 0,
     }
-}
-
-/// A configuration's pruning verdict. `Passed` covers any fully-evaluated
-/// run that doesn't fail its constraints (including constraint-free
-/// queries); only `Failed` triggers downstream pruning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Verdict {
-    Passed,
-    Failed,
-    Pruned,
-}
-
-/// The guided executor (DESIGN.md §12): same verdicts as [`run_query`],
-/// fewer simulated events.
-///
-/// Dispatch goes through
-/// [`run_points_guided`](SweepRunner::run_points_guided) with the
-/// dominance relation as explicit dependency edges: a point starts only
-/// after every configuration that could prune it has a verdict, so the
-/// prune check is a plain table read — no waiting, no ordering races —
-/// and the runner is free to execute the rest of the frontier in any
-/// order. That freedom is what the surrogate spends: it re-ranks
-/// eligible points toward likely constraint violators so failures (and
-/// the prunes they unlock) surface early. Screening resolves points
-/// analytically before any DES runs; the per-point evaluation is the
-/// shared [`evaluate`], so sketch aborts and replication early-stop
-/// behave identically to the exhaustive path with the same options.
-///
-/// Verdict equivalence: per-point pass/fail/prune flags and the winning
-/// row match the exhaustive run on the same options, because screens are
-/// conservative (they only decide what the DES would also decide),
-/// ranking only reorders, and pass-screening is restricted to queries
-/// whose objective needs no simulated metric.
-fn run_query_guided(
-    query: &Query,
-    base: &Scenario,
-    tunnel: &WindTunnel,
-    opts: &ExecOptions,
-) -> Result<QueryOutcome, WtqlError> {
-    validate_metrics(query)?;
-    let plan = Plan::build(query)?;
-    let n = plan.len();
-    let (needs_avail, needs_perf) = needed_engines(query);
-
-    // Dominance edges: point i waits on every earlier-planned point that
-    // could prune it. Strictly-earlier by plan construction (the plan
-    // sorts best-first on the monotone axes, and domination points
-    // "down" that order), which is exactly what the runner requires.
-    let deps: Vec<Vec<usize>> = if opts.prune {
-        (0..n)
-            .map(|i| {
-                (0..i)
-                    .filter(|&j| plan.dominated_by_failure(&plan.configs[i], &plan.configs[j]))
-                    .collect()
-            })
-            .collect()
-    } else {
-        vec![Vec::new(); n]
-    };
-    let verdicts: Mutex<Vec<Option<Verdict>>> = Mutex::new(vec![None; n]);
-    let counters = GuidedCounters::new();
-
-    // Surrogate features: the axes that are numeric across the whole
-    // grid. Categorical axes are invisible to the model — acceptable,
-    // since a bad fit only costs ordering, never verdicts.
-    let axes = plan.configs.first().map_or(0, |c| c.len());
-    let feat_idx: Vec<usize> = (0..axes)
-        .filter(|&k| {
-            plan.configs
-                .iter()
-                .all(|c| matches!(c[k].1, ParamValue::Num(_)))
-        })
-        .collect();
-    let features = |i: usize| -> Vec<f64> {
-        feat_idx
-            .iter()
-            .map(|&k| plan.configs[i][k].1.as_num().expect("numeric axis"))
-            .collect()
-    };
-    struct RankState {
-        samples: Vec<(Vec<f64>, f64)>,
-        model: Option<Surrogate>,
-    }
-    let rank_state: Mutex<RankState> = Mutex::new(RankState {
-        samples: Vec::new(),
-        model: None,
-    });
-    // Rank = predicted constraint risk; highest runs first. Until a
-    // model exists (or with ranking off), `-index` preserves plan order.
-    let rank = |i: usize| -> f64 {
-        if opts.rank && !feat_idx.is_empty() {
-            if let Some(model) = &rank_state.lock().model {
-                return model.predict(&features(i));
-            }
-        }
-        -(i as f64)
-    };
-    // Feed one decided row back into the surrogate: the response is the
-    // worst signed constraint violation, normalized per-constraint so
-    // availability gaps and latency overshoots share a scale. Screened
-    // failures and aborts count as full violations.
-    let observe = |i: usize, row: &RunRow| {
-        if !opts.rank || feat_idx.is_empty() || row.pruned {
-            return;
-        }
-        let y = if row.aborted || (row.screened && !row.passes) {
-            1.0
-        } else {
-            guided_risk(query, row)
-        };
-        let mut st = rank_state.lock();
-        st.samples.push((features(i), y));
-        let xs: Vec<&[f64]> = st.samples.iter().map(|(x, _)| &x[..]).collect();
-        let ys: Vec<f64> = st.samples.iter().map(|(_, y)| *y).collect();
-        st.model = Surrogate::fit(&xs, &ys, 1e-3);
-    };
-
-    let grid = SweepGrid::explicit("wtql-explore", base.seed, plan.configs.clone());
-    debug_assert_eq!(grid.len(), n);
-    let runner = SweepRunner::new(Farm::new(opts.threads));
-    let rows: Vec<RunRow> = runner.run_points_guided(
-        &grid,
-        tunnel.store(),
-        &deps,
-        &rank,
-        &counters,
-        |point, _ctx, sink| {
-            let assignment = &point.assignment;
-
-            // Dominance check. Every dependency finished before this
-            // point was released, so its verdict is present — no wait.
-            if opts.prune {
-                let dominated = {
-                    let table = verdicts.lock();
-                    deps[point.index]
-                        .iter()
-                        .any(|&j| table[j] == Some(Verdict::Failed))
-                };
-                if dominated {
-                    verdicts.lock()[point.index] = Some(Verdict::Pruned);
-                    return pruned_row(assignment);
-                }
-            }
-
-            let row = match build_scenario(query, base, assignment) {
-                Ok(scenario) => {
-                    let screened = if opts.screen && !query.constraints.is_empty() {
-                        screen_point(query, &scenario, opts)
-                    } else {
-                        None
-                    };
-                    match screened {
-                        // A screen may settle "pass" only when the
-                        // objective needs no simulated metric — otherwise
-                        // the row could never win and the best row would
-                        // diverge from the exhaustive run's.
-                        Some(passes) if !passes || objective_is_exact(query) => {
-                            let metrics = cost_metrics(tunnel, &scenario);
-                            let mut rec = point
-                                .record("screened", scenario.seed)
-                                .param("verdict_source", "screened");
-                            for (k, v) in &metrics {
-                                rec = rec.metric(k.clone(), *v);
-                            }
-                            sink.record(rec);
-                            RunRow {
-                                assignment: assignment.clone(),
-                                metrics,
-                                passes,
-                                pruned: false,
-                                aborted: false,
-                                screened: true,
-                                early_stopped: false,
-                                sim_events_executed: 0,
-                            }
-                        }
-                        _ => evaluate(
-                            query,
-                            base,
-                            tunnel,
-                            assignment,
-                            needs_avail,
-                            needs_perf,
-                            opts,
-                            sink,
-                        )
-                        .unwrap_or_else(|_| failed_row(assignment)),
-                    }
-                }
-                Err(_) => failed_row(assignment),
-            };
-
-            let verdict = if !row.passes && !query.constraints.is_empty() {
-                Verdict::Failed
-            } else {
-                Verdict::Passed
-            };
-            verdicts.lock()[point.index] = Some(verdict);
-            if row.screened {
-                counters.note_screened();
-            }
-            if row.aborted {
-                counters.note_aborted();
-            }
-            if row.early_stopped {
-                counters.note_early_stopped();
-            }
-            observe(point.index, &row);
-            row
-        },
-    );
-
-    Ok(summarize(query, rows))
 }
 
 /// True when the query's objective can be computed without simulation
@@ -928,28 +816,27 @@ fn cost_metrics(tunnel: &WindTunnel, scenario: &Scenario) -> BTreeMap<String, f6
     metrics
 }
 
-/// Simulates one configuration and evaluates the constraints. Every
-/// fully-simulated run records into `sink` — the caller's per-config
-/// shard during parallel execution.
+/// Simulates one configuration's built `scenario` and evaluates the
+/// constraints. Every fully-simulated run records into `sink` — the
+/// caller's per-config shard during parallel execution.
 #[allow(clippy::too_many_arguments)]
 fn evaluate(
     query: &Query,
-    base: &Scenario,
+    scenario: &Scenario,
     tunnel: &WindTunnel,
     assignment: &Assignment,
     needs_avail: bool,
     needs_perf: bool,
     opts: &ExecOptions,
     sink: &dyn RecordSink,
-) -> Result<RunRow, WtqlError> {
-    let scenario = build_scenario(query, base, assignment)?;
-    let mut metrics = cost_metrics(tunnel, &scenario);
+) -> RunRow {
+    let mut metrics = cost_metrics(tunnel, scenario);
 
     let mut aborted = false;
     let mut events_executed: u64 = 0;
     // Probe phase (first replication only): abort hopeless runs early.
     if needs_avail && opts.early_abort {
-        let model = WindTunnel::availability_model(&scenario);
+        let model = WindTunnel::availability_model(scenario);
         let probe_horizon = SimDuration::from_years(scenario.horizon_years * opts.probe_fraction);
         let probe = model.run(scenario.seed, probe_horizon);
         let hopeless = query.constraints.iter().any(|c| {
@@ -965,7 +852,7 @@ fn evaluate(
     // of the horizon and abort when a streaming-sketch latency quantile
     // already violates a latency ceiling by more than the margin.
     if !aborted && needs_perf && opts.sketch_abort {
-        aborted = sketch_probe_aborts(query, &scenario, opts, sink);
+        aborted = sketch_probe_aborts(query, scenario, opts, sink);
     }
     let mut early_stopped = false;
     if !aborted {
@@ -1033,7 +920,7 @@ fn evaluate(
             .iter()
             .all(|c| metrics.get(&c.metric).is_some_and(|&v| c.satisfied(v)));
 
-    Ok(RunRow {
+    RunRow {
         assignment: assignment.clone(),
         metrics,
         passes,
@@ -1042,7 +929,7 @@ fn evaluate(
         screened: false,
         early_stopped,
         sim_events_executed: events_executed,
-    })
+    }
 }
 
 /// True when every constraint's verdict is already confident: either
@@ -1655,14 +1542,14 @@ mod tests {
     fn guided_clause_arms_all_stages_and_options_override() {
         let q = parse("EXPLORE availability SWEEP replication IN [3] GUIDED").unwrap();
         let o = ExecOptions::from_query(&q);
-        assert!(o.guided && o.screen && o.rank && o.early_stop && o.sketch_abort);
+        assert!(o.screen && o.rank && o.early_stop && o.sketch_abort);
         let q = parse(
             "EXPLORE availability SWEEP replication IN [3] GUIDED \
              OPTIONS rank = FALSE, screen_guard = 0.001, screen_min_failures = 25",
         )
         .unwrap();
         let o = ExecOptions::from_query(&q);
-        assert!(o.guided && o.screen && !o.rank && o.early_stop && o.sketch_abort);
+        assert!(o.screen && !o.rank && o.early_stop && o.sketch_abort);
         assert_eq!(o.screen_guard, 0.001);
         assert_eq!(o.screen_min_failures, 25.0);
         // The OPTIONS master switch mirrors the clause, in source order.
@@ -1672,13 +1559,14 @@ mod tests {
         )
         .unwrap();
         let o = ExecOptions::from_query(&q);
-        assert!(o.guided && o.screen && o.rank && o.early_stop && !o.sketch_abort);
-        assert!(!ExecOptions::from_query(&parse("EXPLORE a SWEEP x IN [1]").unwrap()).guided);
+        assert!(o.screen && o.rank && o.early_stop && !o.sketch_abort);
+        let o = ExecOptions::from_query(&parse("EXPLORE a SWEEP x IN [1]").unwrap());
+        assert!(!(o.screen || o.rank || o.early_stop || o.sketch_abort));
     }
 
     #[test]
     fn guided_matches_exhaustive_verdicts_and_metrics() {
-        // Ranking + guided dispatch only (screens off): every verdict,
+        // Ranking only (every other stage off): every verdict,
         // metric, and the pruned set must match the exhaustive run at
         // any worker count — ranking may only reorder execution.
         let q = parse(
@@ -1696,7 +1584,6 @@ mod tests {
             let mut opts = ExecOptions::from_query(&q);
             opts.threads = threads;
             if !guided {
-                opts.guided = false;
                 opts.rank = false;
             }
             run_query(&q, &sc, &tunnel, &opts).unwrap()

@@ -59,7 +59,6 @@ fn run(query_text: &str, sc: &Scenario, guided: bool, threads: usize) -> QueryOu
     let mut opts = ExecOptions::from_query(&query);
     opts.threads = threads;
     if guided {
-        opts.guided = true;
         opts.screen = true;
         opts.rank = true;
         opts.early_stop = true;
@@ -156,7 +155,6 @@ mod proptests {
             );
             let query = parse(&text).expect("parses");
             let mut opts = ExecOptions::from_query(&query);
-            opts.guided = true;
             opts.screen = true;
             let tunnel = WindTunnel::new();
             let guided = run_query(&query, &sc, &tunnel, &opts).expect("runs");

@@ -93,9 +93,12 @@ fn main() {
     for (name, early) in [("full runs", false), ("early abort", true)] {
         let tunnel = WindTunnel::new();
         let opts = ExecOptions {
-            early_abort: early,
-            probe_fraction: 0.05,
             prune: false,
+            stages: Stages {
+                early_abort: early,
+                probe_fraction: 0.05,
+                ..Stages::default()
+            },
             ..ExecOptions::default()
         };
         let out = run_query(&query, &churning, &tunnel, &opts).expect("runs");

@@ -11,12 +11,16 @@
 //!   point: topology (racks × nodes × disk/NIC/switch models from
 //!   [`hw::catalog`]), redundancy scheme, placement policy, repair policy,
 //!   tenant workloads, limpware.
-//! * **SLAs** — [`Sla`]/[`SlaSet`] express the user-facing requirements
-//!   (availability, durability, latency percentile) a design must meet.
+//! * **SLAs** — [`SlaSet`] is a conjunction of [`Constraint`]s on named
+//!   metrics (availability, objects lost, a tenant's latency percentile,
+//!   cost) that a design must meet; WTQL's `SUBJECT TO` clause speaks the
+//!   same vocabulary.
 //! * **The tunnel** — [`WindTunnel`] runs scenarios through the simulation
-//!   engines (`wt-cluster`), checks SLAs, attaches costs, and records
-//!   every run into the result store (`wt-store`) for §4.4-style
-//!   exploration.
+//!   engines (`wt-cluster`), and records every run into the result store
+//!   (`wt-store`) for §4.4-style exploration. [`WindTunnel::evaluate`] is
+//!   the one verdict path: it judges a configuration against an
+//!   [`SlaSet`], with the guided [`Stages`] (screens, probe aborts,
+//!   replication early-stop) available to every caller.
 //!
 //! * **Declarative sweeps** — [`sweep::SweepSpec`] declares a parameter
 //!   grid and [`sweep::SweepRunner`] executes it deterministically over
@@ -50,13 +54,15 @@ pub mod runner;
 pub mod sla;
 pub mod surrogate;
 pub mod sweep;
+pub mod verdict;
 
 pub use builder::ScenarioBuilder;
 pub use farm::{Farm, RunCtx};
-pub use runner::{t_quantile_975, Assessment, MeanInterval, ReplicatedAvailability, WindTunnel};
-pub use sla::{Sla, SlaSet};
+pub use runner::{t_quantile_975, MeanInterval, WindTunnel};
+pub use sla::{Comparison, Constraint, SlaSet};
 pub use surrogate::Surrogate;
 pub use sweep::{GuidedCounters, SweepOutcome, SweepReport, SweepRunner, SweepSpec};
+pub use verdict::{Evaluation, Stages};
 
 // Re-export the subsystem crates under stable names so downstream users
 // depend on `windtunnel` alone.
@@ -74,9 +80,10 @@ pub use wt_workload as workload;
 pub mod prelude {
     pub use crate::builder::ScenarioBuilder;
     pub use crate::farm::{Farm, RunCtx};
-    pub use crate::runner::{Assessment, WindTunnel};
-    pub use crate::sla::{Sla, SlaSet};
+    pub use crate::runner::WindTunnel;
+    pub use crate::sla::{Comparison, Constraint, SlaSet};
     pub use crate::sweep::{MetricAgg, SweepRunner, SweepSpec};
+    pub use crate::verdict::{Evaluation, Stages};
     pub use wt_cluster::{AvailabilityResult, PerfResult, Scenario, UnavailabilityExperiment};
     pub use wt_des::QueueBackend;
     pub use wt_dist::Dist;

@@ -1,6 +1,7 @@
 //! The tunnel itself: run scenarios, check SLAs, attach cost, record runs.
 
 use crate::sla::SlaSet;
+use crate::verdict::{Evaluation, Stages};
 use serde::{Deserialize, Serialize};
 use wt_cluster::availability::{DiskFailureModel, SwitchFailureModel};
 use wt_cluster::chaos::ChaosConfig;
@@ -39,8 +40,7 @@ pub fn t_quantile_975(df: usize) -> f64 {
 }
 
 /// A sample mean with an approximate 95% confidence half-width — the
-/// common shape behind replicated availability and the guided planner's
-/// per-constraint early-stop decisions.
+/// shape behind the evaluator's per-constraint early-stop decisions.
 ///
 /// All `confidently_*` tests require a real interval (`n ≥ 2` and a
 /// finite half-width); a degenerate interval resolves nothing, in either
@@ -91,74 +91,6 @@ impl MeanInterval {
     /// The whole interval sits strictly below `bound`.
     pub fn confidently_below(&self, bound: f64) -> bool {
         self.resolved() && self.mean + self.half_width_95 < bound
-    }
-}
-
-/// Availability over independent replications, with uncertainty.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplicatedAvailability {
-    /// Mean availability across replications.
-    pub mean_availability: f64,
-    /// Approximate 95% confidence half-width of the mean.
-    pub half_width_95: f64,
-    /// Worst replication.
-    pub min_availability: f64,
-    /// Best replication.
-    pub max_availability: f64,
-    /// The individual replication results.
-    pub replications: Vec<AvailabilityResult>,
-}
-
-impl ReplicatedAvailability {
-    /// True if the availability floor is met even at the pessimistic edge
-    /// of the confidence interval.
-    ///
-    /// A degenerate interval must fail outright: with 0 or 1
-    /// replications there is no variance estimate (a hand-built value
-    /// can carry `half_width_95` of 0.0 or NaN), and treating such an
-    /// interval as "confident" would let a single noisy run vacuously
-    /// pass an SLA.
-    pub fn confidently_meets(&self, floor: f64) -> bool {
-        self.interval().confidently_at_least(floor)
-    }
-
-    /// True if the availability floor is missed even at the optimistic
-    /// edge of the confidence interval — the early-stop dual of
-    /// [`Self::confidently_meets`], with the same degenerate-interval
-    /// guard.
-    pub fn confidently_fails(&self, floor: f64) -> bool {
-        self.interval().confidently_below(floor)
-    }
-
-    /// The mean ± half-width as a [`MeanInterval`].
-    pub fn interval(&self) -> MeanInterval {
-        MeanInterval {
-            mean: self.mean_availability,
-            half_width_95: self.half_width_95,
-            n: self.replications.len(),
-        }
-    }
-}
-
-/// The verdict on one scenario against an SLA set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Assessment {
-    /// Scenario name.
-    pub scenario: String,
-    /// Availability result, if an availability run was needed.
-    pub availability: Option<AvailabilityResult>,
-    /// Performance result, if a perf run was needed.
-    pub perf: Option<PerfResult>,
-    /// Yearly TCO of the hardware.
-    pub tco_usd_per_year: f64,
-    /// Human-readable SLA violations; empty = design passes.
-    pub violations: Vec<String>,
-}
-
-impl Assessment {
-    /// True when every SLA clause held.
-    pub fn passes(&self) -> bool {
-        self.violations.is_empty()
     }
 }
 
@@ -249,7 +181,7 @@ impl WindTunnel {
         })
     }
 
-    fn base_record(scenario: &Scenario, experiment: &str) -> RunRecord {
+    pub(crate) fn base_record(scenario: &Scenario, experiment: &str) -> RunRecord {
         RunRecord::new(experiment, scenario.seed)
             .param("scenario", scenario.name.as_str())
             .param("nodes", scenario.topology.node_count())
@@ -432,54 +364,10 @@ impl WindTunnel {
         (result, telemetry)
     }
 
-    /// Runs the availability engine over `reps` independent replications
-    /// (seeds derived from the scenario's) and returns the mean
-    /// availability with an approximate 95% confidence half-width —
-    /// availability under bursty failures is heavy-tailed across
-    /// replications, so a single-run point estimate can be badly
-    /// misleading (see EXPERIMENTS.md E10 notes).
-    pub fn run_availability_replicated(
-        &self,
-        scenario: &Scenario,
-        reps: usize,
-    ) -> ReplicatedAvailability {
-        self.run_availability_replicated_into(scenario, reps, &self.store)
-    }
-
-    /// [`Self::run_availability_replicated`] recording into an explicit
-    /// sink (see [`Self::run_availability_into`]).
-    pub fn run_availability_replicated_into(
-        &self,
-        scenario: &Scenario,
-        reps: usize,
-        sink: &dyn RecordSink,
-    ) -> ReplicatedAvailability {
-        assert!(
-            reps >= 2,
-            "confidence intervals need at least 2 replications"
-        );
-        let mut tally = wt_des::Tally::new();
-        let mut results = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            let s = scenario.with_seed(scenario.seed.wrapping_add(rep as u64 * 7919));
-            let r = self.run_availability_into(&s, sink);
-            tally.record(r.availability);
-            results.push(r);
-        }
-        let interval = MeanInterval::from_tally(&tally);
-        ReplicatedAvailability {
-            mean_availability: interval.mean,
-            half_width_95: interval.half_width_95,
-            min_availability: tally.min(),
-            max_availability: tally.max(),
-            replications: results,
-        }
-    }
-
     /// Runs exactly the engines the SLA set needs and returns the verdict
-    /// with cost attached — the unit of work a declarative query executes
-    /// per configuration.
-    pub fn assess(&self, scenario: &Scenario, slas: &SlaSet) -> Assessment {
+    /// with cost attached: [`Self::evaluate`] with every stage off and one
+    /// replication.
+    pub fn assess(&self, scenario: &Scenario, slas: &SlaSet) -> Evaluation {
         self.assess_into(scenario, slas, &self.store)
     }
 
@@ -490,20 +378,8 @@ impl WindTunnel {
         scenario: &Scenario,
         slas: &SlaSet,
         sink: &dyn RecordSink,
-    ) -> Assessment {
-        let availability = slas
-            .needs_availability()
-            .then(|| self.run_availability_into(scenario, sink));
-        let perf = (slas.needs_perf() && !scenario.tenants.is_empty())
-            .then(|| self.run_perf_into(scenario, false, sink));
-        let violations = slas.violations(availability.as_ref(), perf.as_ref(), scenario.objects);
-        Assessment {
-            scenario: scenario.name.clone(),
-            availability,
-            perf,
-            tco_usd_per_year: self.cost.cost(&scenario.topology).tco_usd_per_year,
-            violations,
-        }
+    ) -> Evaluation {
+        self.evaluate(scenario, slas, &Stages::default(), sink)
     }
 }
 
@@ -682,9 +558,10 @@ mod tests {
         let tunnel = WindTunnel::new();
         let slas = SlaSet::new().availability(0.9);
         let a = tunnel.assess(&small(), &slas);
-        assert!(a.availability.is_some());
-        assert!(a.perf.is_none());
-        assert!(a.tco_usd_per_year > 0.0);
+        assert!(a.metrics.contains_key("availability"));
+        assert!(!a.metrics.keys().any(|m| crate::sla::is_perf_metric(m)));
+        assert!(a.metrics["tco_usd_per_year"] > 0.0);
+        assert_eq!(tunnel.store().len(), 1);
     }
 
     #[test]
@@ -701,61 +578,22 @@ mod tests {
             detection_delay_s: 3600.0,
         };
         let a = tunnel.assess(&sc, &slas);
-        assert!(!a.passes(), "availability {:?}", a.availability);
+        assert!(
+            !a.passes,
+            "availability {:?}",
+            a.metrics.get("availability")
+        );
+        assert!(!a.screened && !a.aborted && !a.early_stopped);
     }
 
     #[test]
     fn empty_sla_passes_without_running_engines() {
         let tunnel = WindTunnel::new();
         let a = tunnel.assess(&small(), &SlaSet::new());
-        assert!(a.passes());
-        assert!(a.availability.is_none() && a.perf.is_none());
+        assert!(a.passes);
+        assert!(!a.metrics.contains_key("availability"));
+        assert_eq!(a.sim_events_executed, 0);
         assert_eq!(tunnel.store().len(), 0);
-    }
-
-    #[test]
-    fn replicated_availability_reports_uncertainty() {
-        let tunnel = WindTunnel::new();
-        let mut sc = small();
-        sc.topology.node.ttf = wt_dist::Dist::weibull_mean(0.8, 30.0 * 86_400.0);
-        let r = tunnel.run_availability_replicated(&sc, 5);
-        assert_eq!(r.replications.len(), 5);
-        assert!(r.half_width_95 >= 0.0);
-        assert!((0.0..=1.0).contains(&r.mean_availability));
-        assert!(r.min_availability <= r.mean_availability);
-        assert!(r.mean_availability <= r.max_availability);
-        // All five runs were recorded.
-        assert_eq!(tunnel.store().len(), 5);
-        // An absurd floor is confidently missed; a trivial one is met.
-        assert!(!r.confidently_meets(1.1_f64.min(1.0 + 1e-9)));
-        assert!(r.confidently_meets(0.0));
-    }
-
-    #[test]
-    fn degenerate_confidence_interval_never_passes() {
-        let tunnel = WindTunnel::new();
-        let base = tunnel.run_availability_replicated(&small(), 2);
-        assert!(base.confidently_meets(0.0), "sane interval passes");
-
-        // 0 or 1 replications: no variance estimate, no confidence —
-        // even a perfect mean with zero half-width must fail.
-        let mut degenerate = base.clone();
-        degenerate.mean_availability = 1.0;
-        degenerate.half_width_95 = 0.0;
-        degenerate.replications.truncate(1);
-        assert!(!degenerate.confidently_meets(0.999));
-        degenerate.replications.clear();
-        assert!(!degenerate.confidently_meets(0.0));
-
-        // A NaN half-width (pathological variance) must fail, not pass.
-        let mut poisoned = base.clone();
-        poisoned.half_width_95 = f64::NAN;
-        assert!(!poisoned.confidently_meets(0.0));
-        poisoned.half_width_95 = f64::INFINITY;
-        assert!(!poisoned.confidently_meets(0.0));
-        // The same guard applies to the failing direction: a degenerate
-        // interval can't confidently fail anything either.
-        assert!(!poisoned.confidently_fails(1.0));
     }
 
     #[test]
@@ -773,19 +611,29 @@ mod tests {
         // A bound inside the interval resolves neither way.
         assert!(!iv.confidently_at_least(iv.mean));
         assert!(!iv.confidently_at_most(iv.mean - 1e-12));
-        // Degenerate intervals resolve nothing.
+        // Degenerate intervals resolve nothing, in either direction.
         let bad = MeanInterval {
             mean: 1.0,
             half_width_95: f64::NAN,
             n: 4,
         };
         assert!(!bad.confidently_at_least(0.0) && !bad.confidently_at_most(2.0));
-        let single = MeanInterval {
-            mean: 1.0,
-            half_width_95: 0.0,
-            n: 1,
+        let infinite = MeanInterval {
+            half_width_95: f64::INFINITY,
+            ..bad
         };
-        assert!(!single.confidently_at_least(0.0));
+        assert!(!infinite.confidently_at_least(0.0) && !infinite.confidently_below(2.0));
+        // 0 or 1 samples: no variance estimate, no confidence — even a
+        // perfect mean with zero half-width resolves nothing.
+        for n in [0, 1] {
+            let thin = MeanInterval {
+                mean: 1.0,
+                half_width_95: 0.0,
+                n,
+            };
+            assert!(!thin.confidently_at_least(0.0), "n = {n}");
+            assert!(!thin.confidently_below(2.0), "n = {n}");
+        }
     }
 
     #[test]
@@ -802,18 +650,31 @@ mod tests {
 
     #[test]
     fn confidently_fails_is_the_dual_of_meets() {
+        // The interval over four replicated availability runs, as the
+        // evaluator records them.
         let tunnel = WindTunnel::new();
         let mut sc = small();
         // Guarantee real unavailability so the interval sits well below 1.
         sc.topology.node.ttf = wt_dist::Dist::weibull_mean(0.8, 10.0 * 86_400.0);
         sc.repair.detection_delay_s = 5.0 * 86_400.0;
-        let r = tunnel.run_availability_replicated(&sc, 4);
+        let stages = Stages {
+            replications: 4,
+            ..Stages::default()
+        };
+        let slas = SlaSet::new().report("availability");
+        tunnel.evaluate(&sc, &slas, &stages, tunnel.store());
+        let mut tally = wt_des::Tally::new();
+        for rec in tunnel.store().snapshot() {
+            tally.record(rec.get_metric("availability").unwrap());
+        }
+        let r = MeanInterval::from_tally(&tally);
+        assert_eq!(r.n, 4);
         // An unreachable floor is confidently failed, a trivial one is not.
-        assert!(r.confidently_fails(1.0 - 1e-12) || r.mean_availability >= 1.0 - 1e-9);
-        assert!(!r.confidently_fails(0.0));
+        assert!(r.confidently_below(1.0 - 1e-12) || r.mean >= 1.0 - 1e-9);
+        assert!(!r.confidently_below(0.0));
         // meets and fails can never both hold for the same floor.
         for floor in [0.0, 0.9, 0.99, 0.999, 1.0] {
-            assert!(!(r.confidently_meets(floor) && r.confidently_fails(floor)));
+            assert!(!(r.confidently_at_least(floor) && r.confidently_below(floor)));
         }
     }
 

@@ -1,51 +1,87 @@
 //! Service-level agreements: the user-side constraints every wind tunnel
 //! query is ultimately judged against (§1, §3).
+//!
+//! There is one vocabulary. A [`Constraint`] bounds one named metric
+//! from the tunnel's metric catalogue (below), and an [`SlaSet`] is a
+//! conjunction of constraints plus the metrics the caller wants measured
+//! alongside. WTQL's `SUBJECT TO` clause parses into the same
+//! [`Constraint`]s, and [`crate::WindTunnel::evaluate`] judges both.
 
 use serde::{Deserialize, Serialize};
-use wt_cluster::{AvailabilityResult, PerfResult};
+use std::collections::BTreeMap;
 
-/// One SLA clause.
+/// Comparison operators in constraints (and WTQL `WHERE` filters).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Comparison {
+    /// `<=`
+    Le,
+    /// `>=`
+    Ge,
+    /// `<`
+    Lt,
+    /// `>`
+    Gt,
+    /// `=`
+    Eq,
+}
+
+impl Comparison {
+    /// Evaluates `lhs OP rhs` for numeric operands.
+    pub fn eval(&self, lhs: f64, rhs: f64) -> bool {
+        match self {
+            Comparison::Le => lhs <= rhs,
+            Comparison::Ge => lhs >= rhs,
+            Comparison::Lt => lhs < rhs,
+            Comparison::Gt => lhs > rhs,
+            Comparison::Eq => (lhs - rhs).abs() < 1e-12,
+        }
+    }
+
+    /// The source spelling.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Comparison::Le => "<=",
+            Comparison::Ge => ">=",
+            Comparison::Lt => "<",
+            Comparison::Gt => ">",
+            Comparison::Eq => "=",
+        }
+    }
+}
+
+/// One SLA clause on an output metric: `availability >= 0.9999`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Sla {
-    /// Long-run fraction of time the average object must be operable,
-    /// e.g. `0.9999`.
-    Availability {
-        /// Minimum acceptable availability.
-        min: f64,
-    },
-    /// Maximum acceptable fraction of objects lost over the horizon
-    /// (0.0 = no loss tolerated).
-    Durability {
-        /// Maximum fraction of objects in the `Lost` state.
-        max_loss_fraction: f64,
-    },
-    /// A tenant's latency bound at a quantile, e.g. p95 ≤ 50 ms.
-    Latency {
-        /// Tenant name the clause applies to.
-        tenant: String,
-        /// Quantile in (0, 1).
-        quantile: f64,
-        /// Bound in seconds.
-        max_s: f64,
-    },
+pub struct Constraint {
+    /// Metric name.
+    pub metric: String,
+    /// Comparison.
+    pub cmp: Comparison,
+    /// Bound.
+    pub bound: f64,
 }
 
-impl Sla {
-    /// True if this clause needs an availability run to evaluate.
-    pub fn needs_availability(&self) -> bool {
-        matches!(self, Sla::Availability { .. } | Sla::Durability { .. })
+impl Constraint {
+    /// True if `value` satisfies this constraint.
+    pub fn satisfied(&self, value: f64) -> bool {
+        self.cmp.eval(value, self.bound)
     }
 
-    /// True if this clause needs a performance run to evaluate.
-    pub fn needs_perf(&self) -> bool {
-        matches!(self, Sla::Latency { .. })
+    /// True if `metrics` holds this constraint's metric and it satisfies
+    /// the bound; a metric that was never measured fails.
+    pub fn met_by(&self, metrics: &BTreeMap<String, f64>) -> bool {
+        metrics
+            .get(&self.metric)
+            .is_some_and(|&v| self.satisfied(v))
     }
 }
 
-/// A conjunction of SLA clauses.
+/// A conjunction of constraints, plus the metrics the caller wants
+/// measured alongside them.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SlaSet {
-    clauses: Vec<Sla>,
+    constraints: Vec<Constraint>,
+    reported: Vec<String>,
+    objective: Option<String>,
 }
 
 impl SlaSet {
@@ -54,200 +90,150 @@ impl SlaSet {
         Self::default()
     }
 
-    /// Adds an availability floor.
-    pub fn availability(mut self, min: f64) -> Self {
-        assert!((0.0..=1.0).contains(&min));
-        self.clauses.push(Sla::Availability { min });
-        self
-    }
-
-    /// Adds a durability cap.
-    pub fn durability(mut self, max_loss_fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&max_loss_fraction));
-        self.clauses.push(Sla::Durability { max_loss_fraction });
-        self
-    }
-
-    /// Adds a latency bound.
-    pub fn latency(mut self, tenant: &str, quantile: f64, max_s: f64) -> Self {
-        assert!((0.0..1.0).contains(&quantile) && max_s > 0.0);
-        self.clauses.push(Sla::Latency {
-            tenant: tenant.to_string(),
-            quantile,
-            max_s,
+    /// Adds the constraint `metric cmp bound`.
+    pub fn require(mut self, metric: impl Into<String>, cmp: Comparison, bound: f64) -> Self {
+        self.constraints.push(Constraint {
+            metric: metric.into(),
+            cmp,
+            bound,
         });
         self
     }
 
-    /// The clauses.
-    pub fn clauses(&self) -> &[Sla] {
-        &self.clauses
+    /// Adds an availability floor: `availability >= min`.
+    pub fn availability(self, min: f64) -> Self {
+        self.require("availability", Comparison::Ge, min)
     }
 
-    /// True if any clause needs an availability run.
-    pub fn needs_availability(&self) -> bool {
-        self.clauses.iter().any(Sla::needs_availability)
+    /// Asks for `metric` to be measured and reported without bounding it.
+    pub fn report(mut self, metric: impl Into<String>) -> Self {
+        self.reported.push(metric.into());
+        self
     }
 
-    /// True if any clause needs a performance run.
-    pub fn needs_perf(&self) -> bool {
-        self.clauses.iter().any(Sla::needs_perf)
+    /// Names the metric the caller ranks passing designs by. Every
+    /// passing evaluation measures it, so an analytic screen may settle
+    /// a pass only when the objective is an exact (simulation-free)
+    /// metric.
+    pub fn objective(mut self, metric: impl Into<String>) -> Self {
+        self.objective = Some(metric.into());
+        self
     }
 
-    /// The strictest availability floor in the set, if any — the number
-    /// the guided planner's analytic screens and replication early-stop
-    /// compare against (DESIGN.md §12).
-    pub fn availability_floor(&self) -> Option<f64> {
-        self.clauses
+    /// The constraints.
+    pub fn constraints(&self) -> &[Constraint] {
+        &self.constraints
+    }
+
+    /// The objective metric, if any.
+    pub fn objective_metric(&self) -> Option<&str> {
+        self.objective.as_deref()
+    }
+
+    /// Every metric the set mentions: constraints, reported metrics and
+    /// the objective.
+    pub fn metrics(&self) -> impl Iterator<Item = &str> {
+        self.constraints
             .iter()
-            .filter_map(|c| match c {
-                Sla::Availability { min } => Some(*min),
-                _ => None,
-            })
-            .fold(None, |acc, m| Some(acc.map_or(m, |a: f64| a.max(m))))
+            .map(|c| c.metric.as_str())
+            .chain(self.reported.iter().map(String::as_str))
+            .chain(self.objective.as_deref())
     }
 
-    /// The tightest latency bound per tenant at each quantile:
-    /// `(tenant, quantile, max_s)` triples, deduplicated to the strictest
-    /// bound. Screens iterate these to test each against the analytic
-    /// wait-quantile floor.
-    pub fn latency_bounds(&self) -> Vec<(&str, f64, f64)> {
-        let mut out: Vec<(&str, f64, f64)> = Vec::new();
-        for c in &self.clauses {
-            if let Sla::Latency {
-                tenant,
-                quantile,
-                max_s,
-            } = c
-            {
-                match out
-                    .iter_mut()
-                    .find(|(t, q, _)| *t == tenant.as_str() && *q == *quantile)
-                {
-                    Some(entry) => entry.2 = entry.2.min(*max_s),
-                    None => out.push((tenant.as_str(), *quantile, *max_s)),
-                }
-            }
-        }
-        out
+    /// True if any mentioned metric needs an availability run.
+    pub fn needs_availability(&self) -> bool {
+        self.metrics().any(is_avail_metric)
     }
 
-    /// Evaluates every clause against the available results; clauses whose
-    /// required result is missing are reported as violations (the caller
-    /// didn't run the needed engine). Returns human-readable violations;
-    /// empty = all SLAs met.
-    pub fn violations(
-        &self,
-        avail: Option<&AvailabilityResult>,
-        perf: Option<&PerfResult>,
-        total_objects: u64,
-    ) -> Vec<String> {
-        let mut out = Vec::new();
-        for clause in &self.clauses {
-            match clause {
-                Sla::Availability { min } => match avail {
-                    Some(a) if a.availability >= *min => {}
-                    Some(a) => out.push(format!(
-                        "availability {:.6} below SLA floor {:.6}",
-                        a.availability, min
-                    )),
-                    None => out.push("availability SLA present but no availability run".into()),
-                },
-                Sla::Durability { max_loss_fraction } => match avail {
-                    Some(a) => {
-                        let frac = a.objects_lost as f64 / total_objects.max(1) as f64;
-                        if frac > *max_loss_fraction {
-                            out.push(format!(
-                                "lost {:.4}% of objects, SLA allows {:.4}%",
-                                frac * 100.0,
-                                max_loss_fraction * 100.0
-                            ));
-                        }
-                    }
-                    None => out.push("durability SLA present but no availability run".into()),
-                },
-                Sla::Latency {
-                    tenant,
-                    quantile,
-                    max_s,
-                } => match perf.and_then(|p| p.tenant(tenant)) {
-                    Some(t) => {
-                        // Use the closest precomputed quantile.
-                        let observed = if *quantile <= 0.5 {
-                            t.p50_s
-                        } else if *quantile <= 0.95 {
-                            t.p95_s
-                        } else {
-                            t.p99_s
-                        };
-                        if observed > *max_s {
-                            out.push(format!(
-                                "{tenant} p{:.0} = {:.4}s exceeds SLA {:.4}s",
-                                quantile * 100.0,
-                                observed,
-                                max_s
-                            ));
-                        }
-                    }
-                    None => out.push(format!(
-                        "latency SLA for unknown tenant '{tenant}' or missing perf run"
-                    )),
-                },
+    /// True if any mentioned metric needs a performance run.
+    pub fn needs_perf(&self) -> bool {
+        self.metrics().any(is_perf_metric)
+    }
+
+    /// True if `metrics` meets every constraint.
+    pub fn holds(&self, metrics: &BTreeMap<String, f64>) -> bool {
+        self.constraints.iter().all(|c| c.met_by(metrics))
+    }
+}
+
+impl FromIterator<Constraint> for SlaSet {
+    fn from_iter<I: IntoIterator<Item = Constraint>>(iter: I) -> Self {
+        SlaSet {
+            constraints: iter.into_iter().collect(),
+            ..SlaSet::default()
+        }
+    }
+}
+
+/// The metrics the availability engine measures, including its engine
+/// telemetry (wt-obs).
+pub const AVAIL_METRICS: &[&str] = &[
+    "availability",
+    "nines",
+    "unavailability_events",
+    "objects_lost",
+    "node_failures",
+    "rebuilds_completed",
+    "mean_rebuild_wait_s",
+    "sim_events",
+    "peak_queue_depth",
+    "mean_queue_depth",
+];
+
+/// Metrics whose value can only grow as the horizon extends; a probe that
+/// already violates an upper bound on one of these makes the full run's
+/// violation certain — the *sound* early abort.
+pub const MONOTONE_IN_TIME: &[&str] = &["objects_lost", "unavailability_events", "node_failures"];
+
+/// The cost metrics, computed exactly from the topology and redundancy
+/// without simulation.
+pub const EXACT_METRICS: &[&str] = &["tco_usd_per_year", "usd_per_usable_gb_year"];
+
+/// True for the availability engine's metrics.
+pub fn is_avail_metric(name: &str) -> bool {
+    AVAIL_METRICS.contains(&name)
+}
+
+/// True for the per-tenant metrics of the performance engine
+/// (`<tenant>_p95_s`, `<tenant>_throughput`, ...).
+pub fn is_perf_metric(name: &str) -> bool {
+    name.ends_with("_p50_s")
+        || name.ends_with("_p95_s")
+        || name.ends_with("_p99_s")
+        || name.ends_with("_mean_s")
+        || name.ends_with("_throughput")
+        || name.ends_with("_failed")
+}
+
+/// True for any metric the tunnel can produce.
+pub fn is_known_metric(name: &str) -> bool {
+    is_avail_metric(name) || is_perf_metric(name) || EXACT_METRICS.contains(&name)
+}
+
+/// Parses `<tenant>_pXX_s` into the tenant name and quantile.
+pub fn quantile_metric(name: &str) -> Option<(&str, f64)> {
+    for (suffix, q) in [("_p50_s", 0.50), ("_p95_s", 0.95), ("_p99_s", 0.99)] {
+        if let Some(tenant) = name.strip_suffix(suffix) {
+            if !tenant.is_empty() {
+                return Some((tenant, q));
             }
         }
-        out
     }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wt_cluster::results::TenantPerf;
 
-    fn avail(availability: f64, lost: u64) -> AvailabilityResult {
-        AvailabilityResult {
-            availability,
-            nines: AvailabilityResult::nines_of(availability),
-            unavailability_events: 0,
-            objects_lost: lost,
-            node_failures: 0,
-            switch_failures: 0,
-            disk_failures: 0,
-            rebuilds_completed: 0,
-            mean_rebuild_wait_s: 0.0,
-            horizon_s: 1.0,
-            sim_events: 0,
-        }
-    }
-
-    fn perf(p95: f64) -> PerfResult {
-        PerfResult {
-            tenants: vec![TenantPerf {
-                name: "shop".into(),
-                completed: 1,
-                failed: 0,
-                mean_s: p95 / 2.0,
-                p50_s: p95 / 2.0,
-                p95_s: p95,
-                p99_s: p95 * 2.0,
-                sketch_p50_s: None,
-                sketch_p95_s: None,
-                sketch_p99_s: None,
-                sketch_sla_met: None,
-                throughput: 1.0,
-                sla_met: None,
-            }],
-            node_failures: 0,
-            mean_disk_utilization: 0.0,
-            mean_nic_utilization: 0.0,
-            horizon_s: 1.0,
-        }
+    fn metrics(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
+        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
     }
 
     #[test]
     fn empty_set_always_satisfied() {
         let s = SlaSet::new();
-        assert!(s.violations(None, None, 100).is_empty());
+        assert!(s.holds(&BTreeMap::new()));
         assert!(!s.needs_availability());
         assert!(!s.needs_perf());
     }
@@ -255,77 +241,85 @@ mod tests {
     #[test]
     fn availability_clause() {
         let s = SlaSet::new().availability(0.999);
+        let c = &s.constraints()[0];
+        assert_eq!(
+            (c.metric.as_str(), c.cmp, c.bound),
+            ("availability", Comparison::Ge, 0.999)
+        );
         assert!(s.needs_availability());
-        assert!(s.violations(Some(&avail(0.9999, 0)), None, 100).is_empty());
-        let v = s.violations(Some(&avail(0.99, 0)), None, 100);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("below SLA floor"));
+        assert!(s.holds(&metrics(&[("availability", 0.9999)])));
+        assert!(!s.holds(&metrics(&[("availability", 0.99)])));
     }
 
     #[test]
     fn durability_clause() {
-        let s = SlaSet::new().durability(0.0);
-        assert!(s.violations(Some(&avail(1.0, 0)), None, 100).is_empty());
-        let v = s.violations(Some(&avail(1.0, 2)), None, 100);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("lost"));
+        let s = SlaSet::new().require("objects_lost", Comparison::Le, 0.0);
+        assert!(s.needs_availability());
+        assert!(s.holds(&metrics(&[("objects_lost", 0.0)])));
+        assert!(!s.holds(&metrics(&[("objects_lost", 2.0)])));
     }
 
     #[test]
     fn latency_clause() {
-        let s = SlaSet::new().latency("shop", 0.95, 0.050);
-        assert!(s.needs_perf());
-        assert!(s.violations(None, Some(&perf(0.040)), 1).is_empty());
-        let v = s.violations(None, Some(&perf(0.060)), 1);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("exceeds SLA"));
+        let s = SlaSet::new().require("shop_p95_s", Comparison::Le, 0.050);
+        assert!(s.needs_perf() && !s.needs_availability());
+        assert!(s.holds(&metrics(&[("shop_p95_s", 0.040)])));
+        assert!(!s.holds(&metrics(&[("shop_p95_s", 0.060)])));
     }
 
     #[test]
     fn missing_runs_are_violations() {
-        let s = SlaSet::new().availability(0.9).latency("shop", 0.95, 1.0);
-        let v = s.violations(None, None, 1);
-        assert_eq!(v.len(), 2);
+        let s = SlaSet::new()
+            .availability(0.9)
+            .require("shop_p95_s", Comparison::Le, 1.0);
+        assert!(!s.holds(&BTreeMap::new()));
+        assert!(!s.holds(&metrics(&[("availability", 1.0)])));
     }
 
     #[test]
     fn unknown_tenant_flagged() {
-        let s = SlaSet::new().latency("nobody", 0.95, 1.0);
-        let v = s.violations(None, Some(&perf(0.01)), 1);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("unknown tenant"));
+        // A bound on a tenant the run never measured fails.
+        let s = SlaSet::new().require("nobody_p95_s", Comparison::Le, 1.0);
+        assert!(!s.holds(&metrics(&[("shop_p95_s", 0.01)])));
     }
 
     #[test]
     fn conjunction_of_clauses() {
-        let s = SlaSet::new().availability(0.999).durability(0.01);
-        let v = s.violations(Some(&avail(0.99, 5)), None, 100);
-        assert_eq!(v.len(), 2);
-    }
-
-    #[test]
-    fn availability_floor_is_the_strictest() {
-        assert_eq!(SlaSet::new().availability_floor(), None);
-        assert_eq!(
-            SlaSet::new().durability(0.0).availability_floor(),
-            None,
-            "durability is not an availability floor"
-        );
-        let s = SlaSet::new().availability(0.99).availability(0.9999);
-        assert_eq!(s.availability_floor(), Some(0.9999));
-    }
-
-    #[test]
-    fn latency_bounds_dedupe_to_strictest() {
         let s = SlaSet::new()
-            .latency("shop", 0.95, 0.050)
-            .latency("shop", 0.95, 0.030)
-            .latency("shop", 0.99, 0.200)
-            .latency("reports", 0.95, 1.0);
-        let b = s.latency_bounds();
-        assert_eq!(b.len(), 3);
-        assert!(b.contains(&("shop", 0.95, 0.030)));
-        assert!(b.contains(&("shop", 0.99, 0.200)));
-        assert!(b.contains(&("reports", 0.95, 1.0)));
+            .availability(0.999)
+            .require("objects_lost", Comparison::Le, 0.0);
+        let failing = s
+            .constraints()
+            .iter()
+            .filter(|c| !c.met_by(&metrics(&[("availability", 0.99), ("objects_lost", 5.0)])))
+            .count();
+        assert_eq!(failing, 2);
+        assert!(s.holds(&metrics(&[("availability", 1.0), ("objects_lost", 0.0)])));
+    }
+
+    #[test]
+    fn reported_and_objective_metrics_pick_engines() {
+        let s = SlaSet::new().report("node_failures");
+        assert!(s.needs_availability() && s.holds(&BTreeMap::new()));
+        let s = SlaSet::new().objective("shop_p99_s");
+        assert!(s.needs_perf() && !s.needs_availability());
+        assert_eq!(s.objective_metric(), Some("shop_p99_s"));
+        assert_eq!(SlaSet::new().objective_metric(), None);
+    }
+
+    #[test]
+    fn metric_catalogue() {
+        for m in [
+            "availability",
+            "shop_p99_s",
+            "x_throughput",
+            "tco_usd_per_year",
+        ] {
+            assert!(is_known_metric(m), "{m}");
+        }
+        assert!(!is_known_metric("qubits"));
+        assert_eq!(quantile_metric("shop_p95_s"), Some(("shop", 0.95)));
+        assert_eq!(quantile_metric("_p95_s"), None);
+        assert_eq!(quantile_metric("shop_mean_s"), None);
     }
 }

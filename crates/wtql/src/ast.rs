@@ -1,45 +1,10 @@
 //! WTQL abstract syntax.
+//!
+//! `SUBJECT TO` constraints and their comparisons are the wind tunnel's
+//! own SLA vocabulary ([`windtunnel::sla`]), re-exported here.
 
+pub use windtunnel::sla::{Comparison, Constraint};
 use wt_store::ParamValue;
-
-/// Comparison operators in WHERE / SUBJECT TO clauses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Comparison {
-    /// `<=`
-    Le,
-    /// `>=`
-    Ge,
-    /// `<`
-    Lt,
-    /// `>`
-    Gt,
-    /// `=`
-    Eq,
-}
-
-impl Comparison {
-    /// Evaluates `lhs OP rhs` for numeric operands.
-    pub fn eval(&self, lhs: f64, rhs: f64) -> bool {
-        match self {
-            Comparison::Le => lhs <= rhs,
-            Comparison::Ge => lhs >= rhs,
-            Comparison::Lt => lhs < rhs,
-            Comparison::Gt => lhs > rhs,
-            Comparison::Eq => (lhs - rhs).abs() < 1e-12,
-        }
-    }
-
-    /// The source spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Comparison::Le => "<=",
-            Comparison::Ge => ">=",
-            Comparison::Lt => "<",
-            Comparison::Gt => ">",
-            Comparison::Eq => "=",
-        }
-    }
-}
 
 /// One sweep axis: `replication IN [3, 5]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,25 +24,6 @@ pub struct Filter {
     pub cmp: Comparison,
     /// Right-hand value.
     pub value: ParamValue,
-}
-
-/// A SUBJECT TO constraint on an output metric:
-/// `availability >= 0.9999`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Constraint {
-    /// Metric name.
-    pub metric: String,
-    /// Comparison.
-    pub cmp: Comparison,
-    /// Bound.
-    pub bound: f64,
-}
-
-impl Constraint {
-    /// True if `value` satisfies this constraint.
-    pub fn satisfied(&self, value: f64) -> bool {
-        self.cmp.eval(value, self.bound)
-    }
 }
 
 /// One argument of an INJECT call: a literal, or a reference to a sweep

@@ -79,22 +79,32 @@ pub fn apply_assignment(
     };
     match axis {
         "replication" => {
-            scenario.redundancy = RedundancyScheme::replication(num(value)? as usize);
+            let n = num(value)? as usize;
+            if n == 0 {
+                return Err(out_of_range(axis, value, "at least one copy"));
+            }
+            scenario.redundancy = RedundancyScheme::replication(n);
         }
-        "erasure_k" => {
-            let k = num(value)? as usize;
-            let m = match scenario.redundancy {
-                RedundancyScheme::Erasure(s) => s.m,
-                _ => 2,
+        "erasure_k" | "erasure_m" => {
+            let (mut k, mut m) = match scenario.redundancy {
+                RedundancyScheme::Erasure(s) => (s.k, s.m),
+                _ => (6, 2),
             };
-            scenario.redundancy = RedundancyScheme::erasure(k, m);
-        }
-        "erasure_m" => {
-            let m = num(value)? as usize;
-            let k = match scenario.redundancy {
-                RedundancyScheme::Erasure(s) => s.k,
-                _ => 6,
-            };
+            if axis == "erasure_k" {
+                k = num(value)? as usize;
+            } else {
+                m = num(value)? as usize;
+            }
+            if k == 0 {
+                return Err(out_of_range(axis, value, "erasure_k >= 1"));
+            }
+            if k.saturating_add(m) > MAX_WIDTH {
+                return Err(out_of_range(
+                    axis,
+                    value,
+                    &format!("erasure_k + erasure_m <= {MAX_WIDTH}"),
+                ));
+            }
             scenario.redundancy = RedundancyScheme::erasure(k, m);
         }
         "nic" => {
@@ -169,6 +179,58 @@ pub fn apply_assignment(
         other => {
             return Err(WtqlError::Semantic(format!("unknown sweep axis '{other}'")));
         }
+    }
+    Ok(())
+}
+
+/// Most placement targets one object may have: the engines keep an
+/// object's holders in a `u8`-indexed arena, and RS(k, m) needs k + m
+/// distinct GF(256) evaluation points.
+const MAX_WIDTH: usize = 255;
+
+/// Most nodes a design may have: the engines address nodes with `u16`
+/// ids.
+const MAX_NODES: usize = 1 << 16;
+
+fn out_of_range(axis: &str, value: &ParamValue, needs: &str) -> WtqlError {
+    WtqlError::Semantic(format!("{axis} = {value} is out of range: needs {needs}"))
+}
+
+/// Range-checks a bound scenario against the limits the engines assert
+/// on: at least one rack and one node per rack, at most 65,536
+/// nodes, and a redundancy width in `1..=min(255, nodes)`. The error
+/// names the offending axis and its value.
+pub fn check_scenario(scenario: &Scenario) -> Result<(), WtqlError> {
+    let topo = &scenario.topology;
+    let num = |x: usize| ParamValue::Num(x as f64);
+    if topo.racks == 0 {
+        return Err(out_of_range("racks", &num(0), "racks >= 1"));
+    }
+    if topo.nodes_per_rack == 0 {
+        return Err(out_of_range(
+            "nodes_per_rack",
+            &num(0),
+            "nodes_per_rack >= 1",
+        ));
+    }
+    let nodes = topo.racks.saturating_mul(topo.nodes_per_rack);
+    if nodes > MAX_NODES {
+        return Err(WtqlError::Semantic(format!(
+            "racks = {} × nodes_per_rack = {} is out of range: needs at most {MAX_NODES} nodes",
+            topo.racks, topo.nodes_per_rack
+        )));
+    }
+    let max = MAX_WIDTH.min(nodes);
+    let (axis, width) = match scenario.redundancy {
+        RedundancyScheme::Replication(q) => ("replication", q.n),
+        RedundancyScheme::Erasure(s) => ("erasure_k + erasure_m", s.total()),
+    };
+    if !(1..=max).contains(&width) {
+        return Err(out_of_range(
+            axis,
+            &num(width),
+            &format!("1..={max} (at most 255 and at most the {nodes} nodes)"),
+        ));
     }
     Ok(())
 }

@@ -1,91 +1,58 @@
-//! The query executor: parallel run dispatch, dominance pruning, early
-//! abort (§4.2), and the guided stages (DESIGN.md §13).
+//! The query executor: parallel run dispatch, dominance pruning and
+//! surrogate ranking (§4.2).
 //!
 //! Every query runs on one executor: the planned configuration order
 //! becomes an explicit [`windtunnel::sweep::SweepGrid`] and runs through
 //! [`windtunnel::sweep::SweepRunner::run_points`], a dependency-DAG
 //! scheduler. Dominance pruning is its dependency edges — a point starts
 //! only once every configuration that could prune it has a verdict — so
-//! verdicts depend on plan order alone, never on worker count. This
-//! module adds only what queries need on top: the dominance edges,
-//! probe-and-abort, replication averaging, and the constraint/objective
-//! verdicts.
+//! verdicts depend on plan order alone, never on worker count.
 //!
-//! Four stage flags, each off by default, decide how much simulation a
-//! query spends; an *exhaustive* query is one with every stage off, run
-//! in plan order. The `GUIDED` clause (or `OPTIONS guided = TRUE`) arms
-//! all four, and OPTIONS can then disable each one:
+//! Each point's verdict comes from the tunnel's one evaluator,
+//! [`WindTunnel::evaluate`]: the query's constraints, explored metrics
+//! and objective become a [`SlaSet`], and [`ExecOptions`] carries the
+//! evaluator's [`Stages`] (analytic screening, probe aborts, replication
+//! early-stop — DESIGN.md §13). This module adds only what queries need
+//! on top: OPTIONS parsing, the dominance edges, surrogate ranking and
+//! row assembly.
 //!
-//! 1. **Analytic screening** (`screen`) — conservative closed-form
-//!    bounds (`wt-analytic` via `wt-cluster`'s extraction) resolve a
-//!    point's verdict without simulating it; such rows are marked
-//!    `screened` and record a synthetic `verdict_source = "screened"`
-//!    provenance record.
-//! 2. **Surrogate ranking** (`rank`) — a ridge-regression surrogate over
-//!    the numeric axes re-ranks the unexecuted frontier toward
-//!    likely-infeasible points so dominance pruning fires sooner.
-//!    Ranking only reorders work; it never touches a verdict.
-//! 3. **Early stopping** (`sketch_abort`, `early_stop`) — a short sketch
-//!    probe aborts hopeless perf runs at the probe horizon, and
-//!    per-constraint confidence intervals stop replication loops once
-//!    the verdict is already confident (never below two recorded
-//!    replications).
+//! The `GUIDED` clause (or `OPTIONS guided = TRUE`) arms screening,
+//! ranking, sketch aborts and early-stop, and OPTIONS can then disable
+//! each one. **Surrogate ranking** (`rank`) is the one stage that lives
+//! here: a ridge-regression surrogate over the numeric axes re-ranks the
+//! unexecuted frontier toward likely-infeasible points so dominance
+//! pruning fires sooner. Ranking only reorders work; it never touches a
+//! verdict.
 
-use crate::ast::{Comparison, Constraint, Query};
-use crate::bind::{apply_assignment, is_known_axis, resolve_injection};
+use crate::ast::{Comparison, Query};
+use crate::bind::{apply_assignment, check_scenario, is_known_axis, resolve_injection};
 use crate::error::WtqlError;
 use crate::plan::{Assignment, Plan};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
-use windtunnel::analytic::screen::{Rel, ScreenVerdict};
-use windtunnel::cluster::screen::{availability_screen, perf_screen};
 use windtunnel::cluster::Scenario;
-use windtunnel::des::time::SimDuration;
-use windtunnel::des::Tally;
 use windtunnel::farm::Farm;
+use windtunnel::sla::is_known_metric;
 use windtunnel::sweep::{GuidedCounters, SweepGrid, SweepRunner};
-use windtunnel::{MeanInterval, Surrogate, WindTunnel};
-use wt_store::{ParamValue, RecordSink};
+use windtunnel::{Evaluation, SlaSet, Stages, Surrogate, WindTunnel};
+use wt_store::ParamValue;
 
-/// Execution knobs (overridable from the query's OPTIONS clause).
+/// Execution knobs (overridable from the query's OPTIONS clause). The
+/// evaluator's settings are the [`Stages`] it derefs to, so
+/// `opts.replications` or `opts.screen` read and write them directly.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Worker threads.
     pub threads: usize,
     /// Monotone dominance pruning on/off.
     pub prune: bool,
-    /// Probe-and-abort hopeless runs.
-    pub early_abort: bool,
-    /// Fraction of the horizon the probe simulates.
-    pub probe_fraction: f64,
-    /// Availability slack below the bound before the heuristic abort
-    /// fires (sound aborts on monotone metrics ignore this).
-    pub abort_margin: f64,
-    /// Independent replications per configuration; numeric metrics are
-    /// averaged over seeds (variance reduction for the bursty availability
-    /// metrics). 1 = single run.
-    pub replications: usize,
-    /// Analytic screening (guided stage 1): resolve points whose verdict
-    /// a conservative closed-form bound already decides, without DES.
-    pub screen: bool,
-    /// Surrogate ranking (guided stage 2): visit likely-infeasible
-    /// points first so dominance pruning fires sooner. Reorders only.
+    /// Surrogate ranking (guided): visit likely-infeasible points first
+    /// so dominance pruning fires sooner. Reorders only.
     pub rank: bool,
-    /// Replication early-stop (guided stage 3): stop a replication loop
-    /// once every constraint is confidently resolved (≥ 2 reps always).
-    pub early_stop: bool,
-    /// Sketch-driven probe abort (guided stage 3): abort a perf run
-    /// whose probe-horizon sketch quantile already violates a latency
-    /// ceiling by more than `abort_margin`.
-    pub sketch_abort: bool,
-    /// Extra margin an analytic bound must clear beyond the constraint
-    /// threshold before a screen may decide (widens the Unknown band).
-    pub screen_guard: f64,
-    /// Minimum expected node failures over the horizon before
-    /// availability screens arm (below it the DES may measure exactly
-    /// 1.0 and an analytic Fail would be unsound).
-    pub screen_min_failures: f64,
+    /// How much simulation each point's evaluation may spend.
+    pub stages: Stages,
 }
 
 impl Default for ExecOptions {
@@ -93,17 +60,23 @@ impl Default for ExecOptions {
         ExecOptions {
             threads: 1,
             prune: true,
-            early_abort: false,
-            probe_fraction: 0.1,
-            abort_margin: 0.01,
-            replications: 1,
-            screen: false,
             rank: false,
-            early_stop: false,
-            sketch_abort: false,
-            screen_guard: 0.0,
-            screen_min_failures: 10.0,
+            stages: Stages::default(),
         }
+    }
+}
+
+impl Deref for ExecOptions {
+    type Target = Stages;
+
+    fn deref(&self) -> &Stages {
+        &self.stages
+    }
+}
+
+impl DerefMut for ExecOptions {
+    fn deref_mut(&mut self) -> &mut Stages {
+        &mut self.stages
     }
 }
 
@@ -115,88 +88,43 @@ impl ExecOptions {
     pub fn from_query(query: &Query) -> Self {
         let mut o = ExecOptions::default();
         if query.guided {
-            o.screen = true;
-            o.rank = true;
-            o.early_stop = true;
-            o.sketch_abort = true;
+            o.arm_guided(true);
         }
         for (key, value) in &query.options {
-            match key.as_str() {
-                "threads" => {
-                    if let Some(x) = value.as_num() {
-                        o.threads = (x as usize).max(1);
-                    }
-                }
-                "prune" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.prune = *b;
-                    }
-                }
-                "early_abort" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.early_abort = *b;
-                    }
-                }
-                "probe_fraction" => {
-                    if let Some(x) = value.as_num() {
-                        o.probe_fraction = x.clamp(0.01, 0.9);
-                    }
-                }
-                "abort_margin" => {
-                    if let Some(x) = value.as_num() {
-                        o.abort_margin = x.max(0.0);
-                    }
-                }
-                "replications" => {
-                    if let Some(x) = value.as_num() {
-                        o.replications = (x as usize).max(1);
-                    }
-                }
-                // The master switch mirrors the GUIDED clause: it arms
-                // every stage. Options apply in source order, so a later
-                // `screen = FALSE` can still disable one stage.
-                "guided" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.screen = *b;
-                        o.rank = *b;
-                        o.early_stop = *b;
-                        o.sketch_abort = *b;
-                    }
-                }
-                "screen" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.screen = *b;
-                    }
-                }
-                "rank" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.rank = *b;
-                    }
-                }
-                "early_stop" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.early_stop = *b;
-                    }
-                }
-                "sketch_abort" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.sketch_abort = *b;
-                    }
-                }
-                "screen_guard" => {
-                    if let Some(x) = value.as_num() {
-                        o.screen_guard = x.max(0.0);
-                    }
-                }
-                "screen_min_failures" => {
-                    if let Some(x) = value.as_num() {
-                        o.screen_min_failures = x.max(0.0);
-                    }
-                }
-                _ => {} // unknown options are ignored, like SQL hints
+            let flag = match value {
+                ParamValue::Bool(b) => Some(*b),
+                _ => None,
+            };
+            // Unknown options and ill-typed values are ignored, like SQL
+            // hints. Options apply in source order, so a later
+            // `screen = FALSE` can still disable one stage `guided` armed.
+            match (key.as_str(), flag, value.as_num()) {
+                ("threads", _, Some(x)) => o.threads = (x as usize).max(1),
+                ("prune", Some(b), _) => o.prune = b,
+                ("early_abort", Some(b), _) => o.early_abort = b,
+                ("probe_fraction", _, Some(x)) => o.probe_fraction = x.clamp(0.01, 0.9),
+                ("abort_margin", _, Some(x)) => o.abort_margin = x.max(0.0),
+                ("replications", _, Some(x)) => o.replications = (x as usize).max(1),
+                ("guided", Some(b), _) => o.arm_guided(b),
+                ("screen", Some(b), _) => o.screen = b,
+                ("rank", Some(b), _) => o.rank = b,
+                ("early_stop", Some(b), _) => o.early_stop = b,
+                ("sketch_abort", Some(b), _) => o.sketch_abort = b,
+                ("screen_guard", _, Some(x)) => o.screen_guard = x.max(0.0),
+                ("screen_min_failures", _, Some(x)) => o.screen_min_failures = x.max(0.0),
+                _ => {}
             }
         }
         o
+    }
+
+    /// Sets the four guided stages at once — what the `GUIDED` clause and
+    /// its `guided` OPTIONS master switch do.
+    fn arm_guided(&mut self, on: bool) {
+        self.screen = on;
+        self.rank = on;
+        self.early_stop = on;
+        self.sketch_abort = on;
     }
 }
 
@@ -259,58 +187,6 @@ impl QueryOutcome {
     pub fn passing(&self) -> Vec<&RunRow> {
         self.rows.iter().filter(|r| r.passes).collect()
     }
-}
-
-const AVAIL_METRICS: &[&str] = &[
-    "availability",
-    "nines",
-    "unavailability_events",
-    "objects_lost",
-    "node_failures",
-    "rebuilds_completed",
-    "mean_rebuild_wait_s",
-    "sim_events",
-    // Engine telemetry (wt-obs), queryable like any simulation output.
-    "peak_queue_depth",
-    "mean_queue_depth",
-];
-
-/// Metrics whose value can only grow as the horizon extends; a probe that
-/// already violates an upper bound on one of these makes the full run's
-/// violation certain — the *sound* early abort.
-const MONOTONE_IN_TIME: &[&str] = &["objects_lost", "unavailability_events", "node_failures"];
-
-fn is_perf_metric(name: &str) -> bool {
-    name.ends_with("_p50_s")
-        || name.ends_with("_p95_s")
-        || name.ends_with("_p99_s")
-        || name.ends_with("_mean_s")
-        || name.ends_with("_throughput")
-        || name.ends_with("_failed")
-}
-
-fn is_avail_metric(name: &str) -> bool {
-    AVAIL_METRICS.contains(&name)
-}
-
-fn validate_metrics(query: &Query) -> Result<(), WtqlError> {
-    let all: Vec<&str> = query
-        .explore
-        .iter()
-        .map(String::as_str)
-        .chain(query.constraints.iter().map(|c| c.metric.as_str()))
-        .chain(query.objective.iter().map(|o| o.metric.as_str()))
-        .collect();
-    for m in all {
-        if !(is_avail_metric(m)
-            || is_perf_metric(m)
-            || m == "tco_usd_per_year"
-            || m == "usd_per_usable_gb_year")
-        {
-            return Err(WtqlError::Semantic(format!("unknown metric '{m}'")));
-        }
-    }
-    Ok(())
 }
 
 /// Renders the result-store report behind the `STATS` statement (and the
@@ -394,23 +270,25 @@ fn fmt_stat(x: f64) -> String {
     }
 }
 
-/// Which simulation engines the query's metrics require.
-fn needed_engines(query: &Query) -> (bool, bool) {
-    let mentioned = || {
-        query
-            .explore
-            .iter()
-            .map(String::as_str)
-            .chain(query.constraints.iter().map(|c| c.metric.as_str()))
-            .chain(query.objective.iter().map(|o| o.metric.as_str()))
-    };
-    (
-        mentioned().any(is_avail_metric),
-        mentioned().any(is_perf_metric),
-    )
+/// The SLA set a query asks every point to meet: its constraints, with
+/// the explored metrics reported alongside and its objective named.
+fn sla_set(query: &Query) -> SlaSet {
+    let mut slas: SlaSet = query.constraints.iter().cloned().collect();
+    for metric in &query.explore {
+        slas = slas.report(metric.clone());
+    }
+    if let Some(obj) = &query.objective {
+        slas = slas.objective(obj.metric.clone());
+    }
+    slas
 }
 
 /// Executes a query against a base scenario through a wind tunnel.
+///
+/// Every planned point's scenario is built and range-checked before
+/// anything runs, so a bad axis value (`replication IN [0]`,
+/// `racks IN [0]`) is a [`WtqlError::Semantic`] naming the axis and the
+/// value, never a panic inside an engine.
 ///
 /// Every query runs on one executor,
 /// [`SweepRunner::run_points`], with the dominance relation as explicit
@@ -420,17 +298,15 @@ fn needed_engines(query: &Query) -> (bool, bool) {
 /// execute the rest of the frontier in any order. Verdicts therefore
 /// depend only on the plan order, never on worker count or scheduling.
 ///
-/// The four stage flags decide what else happens (DESIGN.md §13); with
-/// all of them off the query runs exhaustively in plan order. Ranking
-/// spends the runner's ordering freedom: a surrogate re-ranks eligible
-/// points toward likely constraint violators so failures (and the prunes
-/// they unlock) surface early. Screening resolves points analytically
-/// before any DES runs; sketch aborts and replication early-stop act
-/// inside the shared per-point evaluation. Per-point pass/fail/prune
-/// flags and the winning row do not depend on the flags, because screens
-/// are conservative (they only decide what the DES would also decide),
-/// ranking only reorders, and pass-screening is restricted to queries
-/// whose objective needs no simulated metric.
+/// Ranking spends the runner's ordering freedom: a surrogate re-ranks
+/// eligible points toward likely constraint violators so failures (and
+/// the prunes they unlock) surface early. Everything else — screens,
+/// probe aborts, replication early-stop — happens inside
+/// [`WindTunnel::evaluate`], per the options' [`Stages`]. Per-point
+/// pass/fail/prune flags and the winning row do not depend on the
+/// stages, because screens are conservative (they only decide what the
+/// DES would also decide), ranking only reorders, and pass-screening is
+/// restricted to queries whose objective needs no simulated metric.
 ///
 /// Every fully-simulated run also lands in the tunnel's result store.
 pub fn run_query(
@@ -439,10 +315,17 @@ pub fn run_query(
     tunnel: &WindTunnel,
     opts: &ExecOptions,
 ) -> Result<QueryOutcome, WtqlError> {
-    validate_metrics(query)?;
+    let slas = sla_set(query);
+    if let Some(m) = slas.metrics().find(|m| !is_known_metric(m)) {
+        return Err(WtqlError::Semantic(format!("unknown metric '{m}'")));
+    }
     let plan = Plan::build(query)?;
     let n = plan.len();
-    let (needs_avail, needs_perf) = needed_engines(query);
+    let scenarios = plan
+        .configs
+        .iter()
+        .map(|assignment| build_scenario(query, base, assignment))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Dominance edges: point i waits on every earlier-planned point that
     // could prune it. Strictly-earlier by plan construction (the plan
@@ -542,53 +425,8 @@ pub fn run_query(
                 return pruned_row(assignment);
             }
 
-            let row = match build_scenario(query, base, assignment) {
-                Ok(scenario) => {
-                    let screened = if opts.screen && !query.constraints.is_empty() {
-                        screen_point(query, &scenario, opts)
-                    } else {
-                        None
-                    };
-                    match screened {
-                        // A screen may settle "pass" only when the
-                        // objective needs no simulated metric — otherwise
-                        // the row could never win and the best row would
-                        // diverge from the exhaustive run's.
-                        Some(passes) if !passes || objective_is_exact(query) => {
-                            let metrics = cost_metrics(tunnel, &scenario);
-                            let mut rec = point
-                                .record("screened", scenario.seed)
-                                .param("verdict_source", "screened");
-                            for (k, v) in &metrics {
-                                rec = rec.metric(k.clone(), *v);
-                            }
-                            sink.record(rec);
-                            RunRow {
-                                assignment: assignment.clone(),
-                                metrics,
-                                passes,
-                                pruned: false,
-                                aborted: false,
-                                screened: true,
-                                early_stopped: false,
-                                sim_events_executed: 0,
-                            }
-                        }
-                        _ => evaluate(
-                            query,
-                            &scenario,
-                            tunnel,
-                            assignment,
-                            needs_avail,
-                            needs_perf,
-                            opts,
-                            sink,
-                        ),
-                    }
-                }
-                Err(_) => failed_row(assignment),
-            };
-
+            let eval = tunnel.evaluate(&scenarios[point.index], &slas, &opts.stages, sink);
+            let row = decided_row(assignment, eval);
             failed[point.index].store(
                 !row.passes && !query.constraints.is_empty(),
                 Ordering::Relaxed,
@@ -665,29 +503,18 @@ fn pruned_row(assignment: &Assignment) -> RunRow {
     }
 }
 
-/// A row for a configuration whose evaluation errored: no metrics, no
-/// pass — but not pruned, so it still shows in the table.
-fn failed_row(assignment: &Assignment) -> RunRow {
+/// A row for a configuration the evaluator decided.
+fn decided_row(assignment: &Assignment, eval: Evaluation) -> RunRow {
     RunRow {
         assignment: assignment.clone(),
-        metrics: BTreeMap::new(),
-        passes: false,
+        metrics: eval.metrics,
+        passes: eval.passes,
         pruned: false,
-        aborted: false,
-        screened: false,
-        early_stopped: false,
-        sim_events_executed: 0,
+        aborted: eval.aborted,
+        screened: eval.screened,
+        early_stopped: eval.early_stopped,
+        sim_events_executed: eval.sim_events_executed,
     }
-}
-
-/// True when the query's objective can be computed without simulation
-/// (absent, or one of the exact cost metrics) — the precondition for
-/// letting a screen settle a *pass* verdict.
-fn objective_is_exact(query: &Query) -> bool {
-    query
-        .objective
-        .as_ref()
-        .is_none_or(|o| o.metric == "tco_usd_per_year" || o.metric == "usd_per_usable_gb_year")
 }
 
 /// The worst signed, per-constraint-normalized violation in a decided
@@ -714,64 +541,10 @@ fn guided_risk(query: &Query, row: &RunRow) -> f64 {
     }
 }
 
-/// Screens every constraint analytically. `Some(false)` = some
-/// constraint provably violated (the DES would fail this row too);
-/// `Some(true)` = every constraint provably satisfied; `None` = at
-/// least one constraint undecided, simulate. Conservatism is inherited
-/// from the bounds: a screen decides only what the simulation would
-/// also decide, so verdicts match the exhaustive path.
-fn screen_point(query: &Query, scenario: &Scenario, opts: &ExecOptions) -> Option<bool> {
-    let mut all_pass = true;
-    let mut any_fail = false;
-    for c in &query.constraints {
-        match screen_constraint(c, scenario, opts) {
-            ScreenVerdict::Fail => any_fail = true,
-            ScreenVerdict::Pass => {}
-            ScreenVerdict::Unknown => all_pass = false,
-        }
-    }
-    if any_fail {
-        Some(false)
-    } else if all_pass {
-        Some(true)
-    } else {
-        None
-    }
-}
-
-/// One constraint through the closed-form screens: availability bounds
-/// from the birth–death model, latency-quantile floors from M/M/c.
-/// Anything else — including quantiles of tenants the scenario does not
-/// run, whose exhaustive verdict is fail-by-missing-metric, not a model
-/// question — is `Unknown`.
-fn screen_constraint(c: &Constraint, scenario: &Scenario, opts: &ExecOptions) -> ScreenVerdict {
-    let rel = match c.cmp {
-        Comparison::Ge => Rel::Ge,
-        Comparison::Gt => Rel::Gt,
-        Comparison::Le => Rel::Le,
-        Comparison::Lt => Rel::Lt,
-        Comparison::Eq => return ScreenVerdict::Unknown,
-    };
-    if c.metric == "availability" {
-        return availability_screen(scenario, opts.screen_min_failures).screen(
-            rel,
-            c.bound,
-            opts.screen_guard,
-        );
-    }
-    if let Some((tenant, q)) = quantile_metric(&c.metric) {
-        if scenario.tenants.iter().any(|t| t.name == tenant) {
-            if let Some(p) = perf_screen(scenario) {
-                return p.screen(q, rel, c.bound, opts.screen_guard);
-            }
-        }
-    }
-    ScreenVerdict::Unknown
-}
-
 /// Builds one grid point's scenario: the base with the assignment's
 /// known axes applied, the query's injections appended to any base fault
-/// schedule, and the assignment itself as the scenario name.
+/// schedule, and the assignment itself as the scenario name. Fails when
+/// an axis value is out of the engines' range.
 fn build_scenario(
     query: &Query,
     base: &Scenario,
@@ -798,307 +571,8 @@ fn build_scenario(
         .map(|(k, v)| format!("{k}={v}"))
         .collect::<Vec<_>>()
         .join(",");
+    check_scenario(&scenario)?;
     Ok(scenario)
-}
-
-/// The exact (simulation-free) cost metrics every row carries.
-fn cost_metrics(tunnel: &WindTunnel, scenario: &Scenario) -> BTreeMap<String, f64> {
-    let mut metrics = BTreeMap::new();
-    let breakdown = tunnel.cost_model().cost(&scenario.topology);
-    metrics.insert("tco_usd_per_year".into(), breakdown.tco_usd_per_year);
-    // Cost per GB a customer can actually store: redundancy overhead eats
-    // raw capacity, so rep5 *is* dearer than rep3 on identical hardware.
-    let usable_gb = breakdown.raw_storage_gb / scenario.redundancy.overhead();
-    metrics.insert(
-        "usd_per_usable_gb_year".into(),
-        breakdown.tco_usd_per_year / usable_gb,
-    );
-    metrics
-}
-
-/// Simulates one configuration's built `scenario` and evaluates the
-/// constraints. Every fully-simulated run records into `sink` — the
-/// caller's per-config shard during parallel execution.
-#[allow(clippy::too_many_arguments)]
-fn evaluate(
-    query: &Query,
-    scenario: &Scenario,
-    tunnel: &WindTunnel,
-    assignment: &Assignment,
-    needs_avail: bool,
-    needs_perf: bool,
-    opts: &ExecOptions,
-    sink: &dyn RecordSink,
-) -> RunRow {
-    let mut metrics = cost_metrics(tunnel, scenario);
-
-    let mut aborted = false;
-    let mut events_executed: u64 = 0;
-    // Probe phase (first replication only): abort hopeless runs early.
-    if needs_avail && opts.early_abort {
-        let model = WindTunnel::availability_model(scenario);
-        let probe_horizon = SimDuration::from_years(scenario.horizon_years * opts.probe_fraction);
-        let probe = model.run(scenario.seed, probe_horizon);
-        let hopeless = query.constraints.iter().any(|c| {
-            probe_violates_surely(c, &probe) || probe_violates_heuristically(c, &probe, opts)
-        });
-        if hopeless {
-            record_avail_metrics(&mut metrics, &probe);
-            events_executed += probe.sim_events;
-            aborted = true;
-        }
-    }
-    // Sketch probe (guided stage 3a): run the perf model over a fraction
-    // of the horizon and abort when a streaming-sketch latency quantile
-    // already violates a latency ceiling by more than the margin.
-    if !aborted && needs_perf && opts.sketch_abort {
-        aborted = sketch_probe_aborts(query, scenario, opts, sink);
-    }
-    let mut early_stopped = false;
-    if !aborted {
-        // Accumulate metric sums over replications, then average. With
-        // early-stop armed, the loop ends once every constraint is
-        // confidently resolved — but never before two recorded
-        // replications, so confidence intervals always have support.
-        let reps = opts.replications.max(1);
-        let stop_eligible = opts.early_stop && reps >= 2 && !query.constraints.is_empty();
-        let mut sums: BTreeMap<String, f64> = BTreeMap::new();
-        let mut tallies: BTreeMap<&str, Tally> = query
-            .constraints
-            .iter()
-            .map(|c| (c.metric.as_str(), Tally::new()))
-            .collect();
-        let mut used = 0usize;
-        let base_seed = scenario.seed;
-        for rep in 0..reps {
-            let mut rep_scenario = scenario.clone();
-            rep_scenario.seed = base_seed.wrapping_add(rep as u64 * 7919);
-            let mut rep_metrics: BTreeMap<String, f64> = BTreeMap::new();
-            if needs_avail {
-                let (result, telemetry) =
-                    tunnel.run_availability_observed_into(&rep_scenario, sink, None);
-                events_executed += result.sim_events;
-                record_avail_metrics(&mut rep_metrics, &result);
-                rep_metrics.insert("peak_queue_depth".into(), telemetry.peak_queue_depth as f64);
-                rep_metrics.insert("mean_queue_depth".into(), telemetry.mean_queue_depth);
-            }
-            if needs_perf && !rep_scenario.tenants.is_empty() {
-                let result = tunnel.run_perf_into(&rep_scenario, false, sink);
-                for t in &result.tenants {
-                    rep_metrics.insert(format!("{}_p50_s", t.name), t.p50_s);
-                    rep_metrics.insert(format!("{}_p95_s", t.name), t.p95_s);
-                    rep_metrics.insert(format!("{}_p99_s", t.name), t.p99_s);
-                    rep_metrics.insert(format!("{}_mean_s", t.name), t.mean_s);
-                    rep_metrics.insert(format!("{}_throughput", t.name), t.throughput);
-                    rep_metrics.insert(format!("{}_failed", t.name), t.failed as f64);
-                }
-            }
-            for (k, v) in rep_metrics {
-                if let Some(t) = tallies.get_mut(k.as_str()) {
-                    t.record(v);
-                }
-                *sums.entry(k).or_insert(0.0) += v;
-            }
-            used += 1;
-            if stop_eligible
-                && used >= 2
-                && used < reps
-                && verdict_confident(query, &metrics, &tallies)
-            {
-                early_stopped = true;
-                break;
-            }
-        }
-        for (k, v) in sums {
-            metrics.insert(k, v / used as f64);
-        }
-    }
-
-    let passes = !aborted
-        && query
-            .constraints
-            .iter()
-            .all(|c| metrics.get(&c.metric).is_some_and(|&v| c.satisfied(v)));
-
-    RunRow {
-        assignment: assignment.clone(),
-        metrics,
-        passes,
-        pruned: false,
-        aborted,
-        screened: false,
-        early_stopped,
-        sim_events_executed: events_executed,
-    }
-}
-
-/// True when every constraint's verdict is already confident: either
-/// some constraint is confidently violated (the row will fail no matter
-/// what later replications say) or every constraint is confidently
-/// satisfied. Exact (simulation-free) metrics decide outright; sampled
-/// metrics need a resolved 95% confidence interval clear of the bound.
-fn verdict_confident(
-    query: &Query,
-    exact: &BTreeMap<String, f64>,
-    tallies: &BTreeMap<&str, Tally>,
-) -> bool {
-    let mut all_satisfied = !query.constraints.is_empty();
-    for c in &query.constraints {
-        let (violated, satisfied) = if let Some(&v) = exact.get(&c.metric) {
-            (!c.satisfied(v), c.satisfied(v))
-        } else {
-            let Some(tally) = tallies.get(c.metric.as_str()) else {
-                return false;
-            };
-            if tally.count() < 2 {
-                return false; // metric absent from replications
-            }
-            let iv = MeanInterval::from_tally(tally);
-            match c.cmp {
-                Comparison::Ge => (
-                    iv.confidently_below(c.bound),
-                    iv.confidently_at_least(c.bound),
-                ),
-                Comparison::Gt => (
-                    iv.confidently_at_most(c.bound),
-                    iv.confidently_above(c.bound),
-                ),
-                Comparison::Le => (
-                    iv.confidently_above(c.bound),
-                    iv.confidently_at_most(c.bound),
-                ),
-                Comparison::Lt => (
-                    iv.confidently_at_least(c.bound),
-                    iv.confidently_below(c.bound),
-                ),
-                Comparison::Eq => (false, false),
-            }
-        };
-        if violated {
-            return true; // one certain violation decides the whole row
-        }
-        all_satisfied &= satisfied;
-    }
-    all_satisfied
-}
-
-/// Runs the perf model over `probe_fraction` of its horizon and returns
-/// true when some streaming-sketch latency quantile already violates a
-/// `≤`/`<` constraint by more than `abort_margin`. On abort, the probe
-/// is recorded with `verdict_source = "aborted"` provenance and an
-/// `abort_sketch_p99` telemetry mark; a clean probe leaves no trace.
-fn sketch_probe_aborts(
-    query: &Query,
-    scenario: &Scenario,
-    opts: &ExecOptions,
-    sink: &dyn RecordSink,
-) -> bool {
-    // Latency ceilings on quantiles of tenants this scenario actually
-    // runs; anything else the probe cannot judge.
-    let ceilings: Vec<(&Constraint, &str, f64)> = query
-        .constraints
-        .iter()
-        .filter(|c| matches!(c.cmp, Comparison::Le | Comparison::Lt))
-        .filter_map(|c| quantile_metric(&c.metric).map(|(t, q)| (c, t, q)))
-        .filter(|(_, tenant, _)| scenario.tenants.iter().any(|t| t.name == *tenant))
-        .collect();
-    if ceilings.is_empty() || scenario.tenants.is_empty() {
-        return false;
-    }
-    let mut model = WindTunnel::perf_model(scenario, false);
-    model.horizon_s *= opts.probe_fraction;
-    let (probe, mut telemetry) = model.run_observed(scenario.seed, None);
-    let hopeless = ceilings.iter().any(|(c, tenant, q)| {
-        probe
-            .tenant(tenant)
-            .and_then(|t| {
-                if *q == 0.50 {
-                    t.sketch_p50_s
-                } else if *q == 0.95 {
-                    t.sketch_p95_s
-                } else {
-                    t.sketch_p99_s
-                }
-            })
-            .is_some_and(|sketch_q| sketch_q > c.bound + opts.abort_margin)
-    });
-    if hopeless {
-        telemetry.marks.insert("abort_sketch_p99".into(), 1);
-        let mut rec = wt_store::RunRecord::new("perf-probe", scenario.seed)
-            .param("scenario", scenario.name.clone())
-            .param("verdict_source", "aborted")
-            .metric("probe_horizon_s", model.horizon_s);
-        for t in &probe.tenants {
-            if let Some(p99) = t.sketch_p99_s {
-                rec = rec.metric(format!("{}_sketch_p99_s", t.name), p99);
-            }
-        }
-        sink.record(rec.telemetry(telemetry));
-    }
-    hopeless
-}
-
-/// Parses `<tenant>_pXX_s` into the tenant name and quantile.
-fn quantile_metric(name: &str) -> Option<(&str, f64)> {
-    for (suffix, q) in [("_p50_s", 0.50), ("_p95_s", 0.95), ("_p99_s", 0.99)] {
-        if let Some(tenant) = name.strip_suffix(suffix) {
-            if !tenant.is_empty() {
-                return Some((tenant, q));
-            }
-        }
-    }
-    None
-}
-
-fn record_avail_metrics(
-    metrics: &mut BTreeMap<String, f64>,
-    r: &windtunnel::cluster::AvailabilityResult,
-) {
-    metrics.insert("availability".into(), r.availability);
-    metrics.insert("nines".into(), r.nines);
-    metrics.insert(
-        "unavailability_events".into(),
-        r.unavailability_events as f64,
-    );
-    metrics.insert("objects_lost".into(), r.objects_lost as f64);
-    metrics.insert("node_failures".into(), r.node_failures as f64);
-    metrics.insert("rebuilds_completed".into(), r.rebuilds_completed as f64);
-    metrics.insert("mean_rebuild_wait_s".into(), r.mean_rebuild_wait_s);
-    metrics.insert("sim_events".into(), r.sim_events as f64);
-}
-
-/// Sound abort: the probe already violates an upper bound on a metric
-/// that can only grow with the horizon.
-fn probe_violates_surely(c: &Constraint, probe: &windtunnel::cluster::AvailabilityResult) -> bool {
-    if !MONOTONE_IN_TIME.contains(&c.metric.as_str()) {
-        return false;
-    }
-    let value = match c.metric.as_str() {
-        "objects_lost" => probe.objects_lost as f64,
-        "unavailability_events" => probe.unavailability_events as f64,
-        "node_failures" => probe.node_failures as f64,
-        _ => return false,
-    };
-    matches!(
-        c.cmp,
-        crate::ast::Comparison::Le | crate::ast::Comparison::Lt
-    ) && !c.satisfied(value)
-}
-
-/// Heuristic abort: the probe's availability sits more than the margin
-/// below an availability floor.
-fn probe_violates_heuristically(
-    c: &Constraint,
-    probe: &windtunnel::cluster::AvailabilityResult,
-    opts: &ExecOptions,
-) -> bool {
-    if c.metric != "availability" {
-        return false;
-    }
-    matches!(
-        c.cmp,
-        crate::ast::Comparison::Ge | crate::ast::Comparison::Gt
-    ) && probe.availability < c.bound - opts.abort_margin
 }
 
 #[cfg(test)]
@@ -1520,6 +994,31 @@ mod tests {
         let tunnel = WindTunnel::new();
         let e = run_query(&q, &base(), &tunnel, &ExecOptions::default()).unwrap_err();
         assert!(e.to_string().contains("unknown metric"));
+
+        // Out-of-range axis values are rejected before any point runs,
+        // naming the axis and the value — never a panic in an engine.
+        for (text, needle) in [
+            (
+                "EXPLORE availability SWEEP replication IN [3, 0]",
+                "replication = 0",
+            ),
+            (
+                "EXPLORE availability SWEEP replication IN [3, 70000]",
+                "replication = 70000",
+            ),
+            ("EXPLORE availability SWEEP racks IN [1, 0]", "racks = 0"),
+        ] {
+            let q = parse(text).unwrap();
+            let opts = ExecOptions {
+                threads: 2,
+                ..ExecOptions::default()
+            };
+            match run_query(&q, &base(), &tunnel, &opts) {
+                Err(WtqlError::Semantic(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("{text}: expected a semantic error, got {other:?}"),
+            }
+        }
+        assert_eq!(tunnel.store().len(), 0, "nothing ran");
     }
 
     /// A failure-heavy cluster the analytic screens can reason about:

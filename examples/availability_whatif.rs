@@ -32,7 +32,9 @@ fn scenario(
 
 fn main() {
     let tunnel = WindTunnel::new();
-    let sla = SlaSet::new().availability(0.9995).durability(0.0);
+    let sla = SlaSet::new()
+        .availability(0.9995)
+        .require("objects_lost", Comparison::Le, 0.0);
 
     let arms = vec![
         scenario(
@@ -67,14 +69,13 @@ fn main() {
     );
     for scenario in &arms {
         let a = tunnel.assess(scenario, &sla);
-        let avail = a.availability.as_ref().expect("availability ran");
         println!(
             "{:<18} {:>12.6} {:>8.2} {:>12.0} {:>8}",
-            a.scenario,
-            avail.availability,
-            avail.nines,
-            a.tco_usd_per_year,
-            if a.passes() { "met" } else { "MISSED" }
+            scenario.name,
+            a.metrics["availability"],
+            a.metrics["nines"],
+            a.metrics["tco_usd_per_year"],
+            if a.passes { "met" } else { "MISSED" }
         );
     }
     println!();

@@ -25,37 +25,38 @@ fn main() {
         .seed(42)
         .build();
 
-    // The SLAs the provider sold.
-    let slas = SlaSet::new().availability(0.9999).durability(0.0);
+    // The SLAs the provider sold: four nines, and no object ever lost.
+    let slas = SlaSet::new()
+        .availability(0.9999)
+        .require("objects_lost", Comparison::Le, 0.0)
+        .report("node_failures")
+        .report("rebuilds_completed");
 
     // Run exactly the simulations those SLAs need.
     let tunnel = WindTunnel::new();
-    let assessment = tunnel.assess(&scenario, &slas);
+    let verdict = tunnel.assess(&scenario, &slas);
 
-    let avail = assessment.availability.as_ref().expect("availability ran");
-    println!("scenario            : {}", assessment.scenario);
+    let m = &verdict.metrics;
+    println!("scenario            : {}", scenario.name);
     println!(
         "simulated horizon   : {:.1} days",
-        avail.horizon_s / 86_400.0
+        scenario.horizon_years * 365.0
     );
-    println!("node failures       : {}", avail.node_failures);
-    println!("rebuilds completed  : {}", avail.rebuilds_completed);
+    println!("node failures       : {}", m["node_failures"]);
+    println!("rebuilds completed  : {}", m["rebuilds_completed"]);
     println!(
         "availability        : {:.6} ({:.1} nines)",
-        avail.availability, avail.nines
+        m["availability"], m["nines"]
     );
-    println!("objects lost        : {}", avail.objects_lost);
-    println!(
-        "hardware TCO        : ${:.0}/year",
-        assessment.tco_usd_per_year
-    );
+    println!("objects lost        : {}", m["objects_lost"]);
+    println!("hardware TCO        : ${:.0}/year", m["tco_usd_per_year"]);
     println!();
-    if assessment.passes() {
+    if verdict.passes {
         println!("verdict: design meets all SLAs");
     } else {
         println!("verdict: SLA violations:");
-        for v in &assessment.violations {
-            println!("  - {v}");
+        for c in slas.constraints().iter().filter(|c| !c.met_by(m)) {
+            println!("  - {} {} {} not met", c.metric, c.cmp.as_str(), c.bound);
         }
     }
     println!(

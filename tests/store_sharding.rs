@@ -48,9 +48,14 @@ fn sharded_store_bytes_identical_across_worker_counts() {
     let sweep = |workers: usize| {
         let store = SharedStore::new();
         let tunnel = WindTunnel::new();
+        let replicated = Stages {
+            replications: 2,
+            ..Stages::default()
+        };
+        let slas = SlaSet::new().report("availability");
         Farm::new(workers).run_recorded(7, &scenarios, &store, |sc, ctx, shard| {
             if ctx.index % 3 == 0 {
-                tunnel.run_availability_replicated_into(sc, 2, shard);
+                tunnel.evaluate(sc, &slas, &replicated, shard);
             } else {
                 tunnel.run_availability_into(sc, shard);
             }

@@ -109,3 +109,44 @@ fn threads_do_not_change_results() {
         assert_eq!(a.metrics, b.metrics);
     }
 }
+
+#[test]
+fn assess_and_a_one_point_query_agree() {
+    // The library's `assess` and WTQL judge through the same evaluator:
+    // same verdict, bitwise-equal metrics, on a passing and a failing
+    // design.
+    let query = parse(
+        "EXPLORE availability, objects_lost \
+         SWEEP replication IN [3] \
+         SUBJECT TO availability >= 0.999, objects_lost <= 0",
+    )
+    .expect("parses");
+    let slas = SlaSet::new()
+        .availability(0.999)
+        .require("objects_lost", Comparison::Le, 0.0);
+    let mut failing = base();
+    failing.topology.node.ttf = Dist::exponential_mean(2.0 * 86_400.0);
+    failing.repair.detection_delay_s = 5.0 * 86_400.0;
+    for (sc, expect_pass) in [(base(), true), (failing, false)] {
+        let assessed = WindTunnel::new().assess(&sc, &slas);
+        let out =
+            run_query(&query, &sc, &WindTunnel::new(), &ExecOptions::default()).expect("runs");
+        let row = &out.rows[0];
+        assert_eq!(assessed.passes, expect_pass, "{:?}", assessed.metrics);
+        assert_eq!(row.passes, assessed.passes);
+        assert_eq!(row.sim_events_executed, assessed.sim_events_executed);
+        let shared: Vec<&String> = assessed
+            .metrics
+            .keys()
+            .filter(|k| row.metrics.contains_key(*k))
+            .collect();
+        assert!(shared.len() >= 4, "{shared:?}");
+        for k in shared {
+            assert_eq!(
+                row.metrics[k].to_bits(),
+                assessed.metrics[k].to_bits(),
+                "{k}"
+            );
+        }
+    }
+}

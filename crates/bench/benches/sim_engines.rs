@@ -67,7 +67,6 @@ fn bench_perf(c: &mut Criterion) {
         inject_failures: false,
         node_ttf: None,
         horizon_s: 60.0,
-        queue: QueueBackend::Heap,
         chaos: None,
     };
     c.bench_function("perf_engine_60s_500rps", |b| {

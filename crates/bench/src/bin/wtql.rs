@@ -5,6 +5,7 @@
 //! wtql <script.wtql | -> [--base scenario.json] [--explain] [--csv out.csv]
 //!      [--workers N]
 //! wtql --interactive [--base scenario.json] [--workers N]
+//! wtql --help
 //! ```
 //!
 //! * the script is read from the file (or stdin with `-`) and may contain
@@ -12,9 +13,10 @@
 //!   statistics — a safe no-op on an empty store),
 //! * `--interactive` starts a small REPL: end a query with a blank line or
 //!   `;`, and use the dot commands (`.stats`, `.help`, `.quit`),
-//! * `--base` loads a serialized `windtunnel::Scenario` as the fixed
-//!   part of the configuration (defaults: 30-node HDD cluster, 1,000×4 GB
-//!   objects, 3 simulated months),
+//! * `--base` (alias `--scenario`) loads a serialized
+//!   `windtunnel::Scenario` as the fixed part of the configuration
+//!   (defaults: 30-node HDD cluster, 1,000×4 GB objects, 3 simulated
+//!   months),
 //! * `--stress` swaps in a failure-heavy variant of the default base
 //!   (40-day node lifetimes, 5-day failure detection) where analytic
 //!   screens and dominance pruning have real work to do — the preset used
@@ -28,19 +30,30 @@
 //!
 //! All statements in one invocation share a single result store, so a
 //! trailing `STATS` reports on everything the script ran.
+//!
+//! An unreadable or malformed file (script, base scenario, CSV target)
+//! prints `<path>: <error>` and exits 1; a bad command line prints the
+//! usage and exits 2.
 
 use std::io::{BufRead as _, Read as _, Write as _};
 use windtunnel::prelude::*;
 use wt_bench::Table;
 use wt_wtql::{parse_script, run_query, store_stats, ExecOptions, Plan, Query, Statement};
 
+const USAGE: &str = "usage: wtql <script.wtql | -> [--base scenario.json | --stress] \
+                     [--explain] [--csv out.csv] [--workers N]\n       wtql --interactive \
+                     [--base scenario.json | --stress] [--workers N]\n       wtql --help";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: wtql <script.wtql | -> [--base scenario.json | --stress] [--explain] \
-         [--csv out.csv] [--workers N]\n       wtql --interactive \
-         [--base scenario.json | --stress] [--workers N]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// Reports a file the command line named that could not be used, and
+/// exits 1.
+fn fail(path: &str, err: impl std::fmt::Display) -> ! {
+    eprintln!("{path}: {err}");
+    std::process::exit(1);
 }
 
 fn default_base() -> Scenario {
@@ -258,7 +271,11 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--base" => base_path = Some(it.next().unwrap_or_else(|| usage())),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
+            "--base" | "--scenario" => base_path = Some(it.next().unwrap_or_else(|| usage())),
             "--stress" => stress = true,
             "--csv" => csv_path = Some(it.next().unwrap_or_else(|| usage())),
             "--workers" | "--threads" => {
@@ -269,6 +286,7 @@ fn main() {
             }
             "--explain" => explain_only = true,
             "--interactive" | "-i" => interactive = true,
+            _ if arg.starts_with("--") => usage(),
             _ if query_path.is_none() => query_path = Some(arg),
             _ => usage(),
         }
@@ -277,8 +295,8 @@ fn main() {
     let base = match &base_path {
         Some(_) if stress => usage(),
         Some(p) => {
-            let json = std::fs::read_to_string(p).unwrap_or_else(|e| panic!("{p}: {e}"));
-            serde_json::from_str(&json).unwrap_or_else(|e| panic!("{p}: bad scenario: {e}"))
+            let json = std::fs::read_to_string(p).unwrap_or_else(|e| fail(p, e));
+            serde_json::from_str(&json).unwrap_or_else(|e| fail(p, format!("bad scenario: {e}")))
         }
         None if stress => stress_base(),
         None => default_base(),
@@ -296,13 +314,12 @@ fn main() {
     let query_path = query_path.unwrap_or_else(|| usage());
     let text = if query_path == "-" {
         let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .expect("read stdin");
+        if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
+            fail("-", e);
+        }
         buf
     } else {
-        std::fs::read_to_string(&query_path)
-            .unwrap_or_else(|e| panic!("cannot read {query_path}: {e}"))
+        std::fs::read_to_string(&query_path).unwrap_or_else(|e| fail(&query_path, e))
     };
 
     if explain_only {
@@ -343,7 +360,7 @@ fn main() {
             }
             out
         });
-        std::fs::write(&path, csv).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(&path, csv).unwrap_or_else(|e| fail(&path, e));
         println!("recorded runs exported to {path}");
     }
 }

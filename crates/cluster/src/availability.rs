@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use wt_des::obs::{Hll, QuantileSketch, SketchSet};
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
-use wt_des::{CalendarQueue, EventQueue};
+use wt_des::QueueBackend;
 use wt_dist::Dist;
 use wt_sw::repair::{RepairQueue, RepairTask};
 use wt_sw::{Placement, Placer, RedundancyScheme, RepairPolicy};
@@ -168,10 +168,8 @@ pub struct AvailabilityModel {
     pub switches: Option<SwitchFailureModel>,
     /// Optional per-disk failures (finer failure granularity than nodes).
     pub disks: Option<DiskFailureModel>,
-    /// Future-event-list backend. Both choices produce bitwise-identical
-    /// results (the engine's `(time, seq)` contract); `Calendar` is faster
-    /// once the steady-state pending set reaches cluster scale — one timer
-    /// per node, switch and disk. See DESIGN.md §8.
+    /// The future-event list, named for telemetry provenance (the binary
+    /// heap is the only one).
     pub queue: QueueBackend,
     /// Optional declarative chaos: the fault schedule is compiled at setup
     /// (per run seed) into deterministic scheduled events. Chaos downtime
@@ -184,19 +182,7 @@ pub struct AvailabilityModel {
 impl AvailabilityModel {
     /// Runs the simulation for `horizon` and summarizes.
     pub fn run(&self, seed: u64, horizon: SimDuration) -> AvailabilityResult {
-        match self.queue {
-            QueueBackend::Heap => self.run_on::<EventQueue<Ev>>(seed, horizon),
-            QueueBackend::Calendar => self.run_on::<CalendarQueue<Ev>>(seed, horizon),
-        }
-    }
-
-    /// [`run`](Self::run), monomorphized for one queue backend.
-    fn run_on<Q: PendingEvents<Ev> + Default>(
-        &self,
-        seed: u64,
-        horizon: SimDuration,
-    ) -> AvailabilityResult {
-        let mut sim = self.seeded_sim::<Q>(seed);
+        let mut sim = self.seeded_sim(seed);
         let end = SimTime::ZERO + horizon;
         sim.run_until(end);
         let events = sim.events_executed();
@@ -213,22 +199,7 @@ impl AvailabilityModel {
         horizon: SimDuration,
         extra: Option<&mut dyn wt_des::obs::Probe>,
     ) -> (AvailabilityResult, wt_des::obs::RunTelemetry) {
-        match self.queue {
-            QueueBackend::Heap => self.run_observed_on::<EventQueue<Ev>>(seed, horizon, extra),
-            QueueBackend::Calendar => {
-                self.run_observed_on::<CalendarQueue<Ev>>(seed, horizon, extra)
-            }
-        }
-    }
-
-    /// [`run_observed`](Self::run_observed), monomorphized for one backend.
-    fn run_observed_on<Q: PendingEvents<Ev> + Default>(
-        &self,
-        seed: u64,
-        horizon: SimDuration,
-        extra: Option<&mut dyn wt_des::obs::Probe>,
-    ) -> (AvailabilityResult, wt_des::obs::RunTelemetry) {
-        let mut sim = self.seeded_sim::<Q>(seed);
+        let mut sim = self.seeded_sim(seed);
         sim.model_mut().sketches = Some(Box::default());
         let end = SimTime::ZERO + horizon;
         let mut sp = wt_des::obs::SimProbe::new();
@@ -254,10 +225,7 @@ impl AvailabilityModel {
     /// Builds the simulation and seeds the initial failure events — the
     /// shared front half of [`run`](Self::run) and
     /// [`run_observed`](Self::run_observed), so the two paths cannot drift.
-    fn seeded_sim<Q: PendingEvents<Ev> + Default>(
-        &self,
-        seed: u64,
-    ) -> Simulation<AvailState<'_>, Q> {
+    fn seeded_sim(&self, seed: u64) -> Simulation<AvailState<'_>> {
         // Compile the fault schedule once per run: the per-rule streams
         // derive from this run's seed, so replications re-sample storms.
         let chaos_faults: Vec<CompiledFault> = self
@@ -266,11 +234,7 @@ impl AvailabilityModel {
             .map(|c| c.compile(self.n_nodes, seed))
             .unwrap_or_default();
         let n_chaos = chaos_faults.len();
-        let mut sim = Simulation::with_queue(
-            AvailState::new(self, seed, chaos_faults),
-            seed,
-            Q::default(),
-        );
+        let mut sim = Simulation::new(AvailState::new(self, seed, chaos_faults), seed);
         // The steady state keeps one pending timer per failure-capable
         // component (node, switch, disk slot) plus the in-flight rebuild
         // streams; pre-size the queue so it never regrows mid-run.
@@ -1703,7 +1667,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_is_deterministic_and_backend_invariant() {
+    fn chaos_is_deterministic() {
         use crate::chaos::{FaultKind, FaultSchedule};
         let mut m = base_model();
         m.node_ttf = Dist::exponential_mean(20.0 * DAY);
@@ -1731,10 +1695,6 @@ mod tests {
         let a = m.run(9, SimDuration::from_years(1.0));
         let b = m.run(9, SimDuration::from_years(1.0));
         assert_eq!(a, b, "same seed must replay identically under chaos");
-        let mut cal = m.clone();
-        cal.queue = QueueBackend::Calendar;
-        let c = cal.run(9, SimDuration::from_years(1.0));
-        assert_eq!(a, c, "chaos results must not depend on the queue backend");
     }
 }
 

@@ -1,7 +1,6 @@
 //! Fluent scenario construction with sensible catalog defaults.
 
 use wt_cluster::{FaultSchedule, Scenario};
-use wt_des::QueueBackend;
 use wt_hw::{catalog, DiskSpec, LimpwareSpec, NicSpec, SwitchSpec, TopologySpec};
 use wt_sw::{Placement, RedundancyScheme, RepairPolicy};
 use wt_workload::TenantWorkload;
@@ -32,7 +31,6 @@ pub struct ScenarioBuilder {
     disk_failures: bool,
     horizon_years: f64,
     seed: u64,
-    queue: Option<QueueBackend>,
     faults: Option<FaultSchedule>,
 }
 
@@ -61,7 +59,6 @@ impl ScenarioBuilder {
             disk_failures: false,
             horizon_years: 1.0,
             seed: 42,
-            queue: None,
             faults: None,
         }
     }
@@ -200,13 +197,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Future-event-list backend for the engines. Affects wall-clock time
-    /// only — results are bitwise-identical across backends.
-    pub fn queue(mut self, backend: QueueBackend) -> Self {
-        self.queue = Some(backend);
-        self
-    }
-
     /// Declarative chaos: a schedule of typed fault injections the engines
     /// compile into deterministic scheduled events.
     pub fn faults(mut self, schedule: FaultSchedule) -> Self {
@@ -248,7 +238,6 @@ impl ScenarioBuilder {
             disk_failures: self.disk_failures,
             horizon_years: self.horizon_years,
             seed: self.seed,
-            queue: self.queue,
             faults: self.faults,
         }
     }
@@ -283,7 +272,6 @@ mod tests {
             .object_gb(2.0)
             .horizon_years(0.5)
             .seed(9)
-            .queue(QueueBackend::Calendar)
             .build();
         assert_eq!(s.topology.racks, 3);
         assert_eq!(s.topology.node.disks[0].name, "ssd-sata-1t");
@@ -296,14 +284,22 @@ mod tests {
         assert_eq!(s.object_bytes, 2 << 30);
         assert_eq!(s.horizon_years, 0.5);
         assert_eq!(s.seed, 9);
-        assert_eq!(s.queue_backend(), QueueBackend::Calendar);
     }
 
     #[test]
     fn queue_backend_defaults_to_heap() {
-        let s = ScenarioBuilder::new("q").build();
-        assert_eq!(s.queue, None);
-        assert_eq!(s.queue_backend(), QueueBackend::Heap);
+        // Small or at million-component scale, a built scenario names the
+        // binary heap as its future-event list.
+        for racks in [1, 500] {
+            let s = ScenarioBuilder::new("q")
+                .racks(racks)
+                .nodes_per_rack(40)
+                .disks_per_node(48)
+                .disk_failures(true)
+                .build();
+            let estimate = s.availability_pending_estimate();
+            assert_eq!(s.queue_backend_for(estimate), wt_des::QueueBackend::Heap);
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use wt_cluster::{
 };
 use wt_des::obs::{Probe, RunTelemetry};
 use wt_des::time::SimDuration;
+use wt_des::QueueBackend;
 use wt_hw::CostModel;
 use wt_store::{RecordSink, RunRecord, SharedStore};
 
@@ -151,7 +152,7 @@ impl WindTunnel {
                 ttf: scenario.topology.node.disks[0].ttf.clone(),
                 replace: scenario.topology.node.disks[0].repair.clone(),
             }),
-            queue: scenario.queue_backend_for(scenario.availability_pending_estimate()),
+            queue: QueueBackend::Heap,
             chaos: Self::chaos_config(scenario),
         }
     }
@@ -167,7 +168,6 @@ impl WindTunnel {
             inject_failures,
             node_ttf: None,
             horizon_s: (scenario.horizon_years * 365.0 * 86_400.0).min(600.0),
-            queue: scenario.queue_backend_for(scenario.perf_pending_estimate()),
             chaos: Self::chaos_config(scenario),
         }
     }
@@ -263,7 +263,6 @@ impl WindTunnel {
             },
             repair: scenario.repair,
             wire_latency_s: scenario.topology.min_cross_latency_s(),
-            queue: scenario.queue_backend_for(scenario.availability_pending_estimate()),
             chaos: Self::chaos_config(scenario),
         }
     }
@@ -706,36 +705,22 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_backend_reaches_the_derived_models() {
-        use wt_des::QueueBackend;
-        // Small scenario, no explicit queue: both engines keep the heap.
+    fn scenario_json_with_a_queue_key_loads_and_runs_the_same() {
+        // Scenario files written while the queue backend was selectable
+        // may carry a "queue" key; it is ignored on load, so such a file
+        // runs exactly like the same scenario without the key.
         let sc = small();
-        assert_eq!(sc.queue, None);
-        assert_eq!(
-            WindTunnel::availability_model(&sc).queue,
-            QueueBackend::Heap
-        );
-        assert_eq!(WindTunnel::perf_model(&sc, false).queue, QueueBackend::Heap);
-
-        // Scale past the adaptive threshold: the inferred calendar backend
-        // lands in the derived model (and from there into telemetry).
-        let mut big = small();
-        big.topology.racks = 600;
-        assert_eq!(
-            WindTunnel::availability_model(&big).queue,
-            QueueBackend::Calendar
-        );
-        assert_eq!(
-            WindTunnel::perf_model(&big, false).queue,
-            QueueBackend::Calendar
-        );
-
-        // An explicit choice is never overridden.
-        big.queue = Some(QueueBackend::Heap);
-        assert_eq!(
-            WindTunnel::availability_model(&big).queue,
-            QueueBackend::Heap
-        );
+        let json = serde_json::to_string(&sc).unwrap();
+        assert!(!json.contains("\"queue\""), "{json}");
+        let keyed = json.replacen(",\"faults\":", ",\"queue\":\"calendar\",\"faults\":", 1);
+        assert_ne!(keyed, json, "expected a faults field to anchor on");
+        let back: Scenario = serde_json::from_str(&keyed).unwrap();
+        let tunnel = WindTunnel::new();
+        let (r_keyed, t_keyed) = tunnel.run_availability_observed_into(&back, tunnel.store(), None);
+        let (r_plain, t_plain) = tunnel.run_availability_observed_into(&sc, tunnel.store(), None);
+        assert_eq!(r_keyed, r_plain);
+        assert_eq!(t_keyed.masked(), t_plain.masked());
+        assert_eq!(t_keyed.queue.as_deref(), Some("heap"));
     }
 
     #[test]
@@ -790,7 +775,6 @@ mod tests {
         assert_eq!(m.replication, serial.redundancy.width());
         assert_eq!(m.objects, serial.objects);
         assert_eq!(m.rebuild, serial.rebuild);
-        assert_eq!(m.queue, serial.queue);
         assert_eq!(m.wire_latency_s, sc.topology.min_cross_latency_s());
         assert!(m.lookahead_s() >= m.wire_latency_s);
     }

@@ -7,7 +7,6 @@
 //! simpler and — for the replications-of-independent-runs workloads the
 //! paper targets — faster than intra-run parallel DES.
 
-use crate::pending::PendingEvents;
 use crate::queue::EventQueue;
 use crate::rng::RngFactory;
 use crate::time::{SimDuration, SimTime};
@@ -61,14 +60,9 @@ impl StopReason {
 
 /// Scheduling context passed to [`Model::handle`]: the clock, the event
 /// queue, the RNG factory and the stop flag.
-///
-/// The queue is held as `&mut dyn PendingEvents<E>` so that
-/// [`Model::handle`]'s signature is independent of the engine's backend
-/// choice: models compile once, scheduling pays one indirect call, and
-/// the engine's pop/peek loop stays fully monomorphized.
 pub struct Ctx<'a, E> {
     now: SimTime,
-    queue: &'a mut dyn PendingEvents<E>,
+    queue: &'a mut EventQueue<E>,
     rng: &'a mut RngFactory,
     stop: &'a mut bool,
     executed: u64,
@@ -161,16 +155,11 @@ impl<E> Ctx<'_, E> {
     }
 }
 
-/// A single simulation run: a [`Model`], its future-event list, clock,
-/// RNG factory and execution counters.
-///
-/// Generic over the future-event list `Q` (default: the binary-heap
-/// [`EventQueue`]). Because every [`PendingEvents`] backend honors the
-/// same `(time, seq)` pop order, the backend choice affects wall-clock
-/// time only — event order, RNG draws and results are identical.
-pub struct Simulation<M: Model, Q: PendingEvents<M::Event> = EventQueue<<M as Model>::Event>> {
+/// A single simulation run: a [`Model`], its future-event list (the
+/// binary-heap [`EventQueue`]), clock, RNG factory and execution counters.
+pub struct Simulation<M: Model> {
     model: M,
-    queue: Q,
+    queue: EventQueue<M::Event>,
     rng: RngFactory,
     now: SimTime,
     executed: u64,
@@ -178,22 +167,12 @@ pub struct Simulation<M: Model, Q: PendingEvents<M::Event> = EventQueue<<M as Mo
 }
 
 impl<M: Model> Simulation<M> {
-    /// Creates a run over `model` with the default binary-heap event
-    /// queue, all randomness derived from `seed`.
+    /// Creates a run over `model` with an empty event queue, all
+    /// randomness derived from `seed`.
     pub fn new(model: M, seed: u64) -> Self {
-        Self::with_queue(model, seed, EventQueue::new())
-    }
-}
-
-impl<M: Model, Q: PendingEvents<M::Event>> Simulation<M, Q> {
-    /// Creates a run over `model` using `queue` as the future-event list
-    /// (e.g. a [`CalendarQueue`](crate::CalendarQueue)); all randomness
-    /// derived from `seed`. The queue must be empty.
-    pub fn with_queue(model: M, seed: u64, queue: Q) -> Self {
-        debug_assert!(queue.is_empty(), "backend queue must start empty");
         Simulation {
             model,
-            queue,
+            queue: EventQueue::new(),
             rng: RngFactory::new(seed),
             now: SimTime::ZERO,
             executed: 0,
@@ -201,10 +180,10 @@ impl<M: Model, Q: PendingEvents<M::Event>> Simulation<M, Q> {
         }
     }
 
-    /// Pre-allocates queue room for at least `additional` pending events
-    /// (a hint; see [`PendingEvents::reserve`]). Engines that know their
-    /// steady-state pending-set size — e.g. one timer per component —
-    /// call this once at setup so the hot loop never regrows the list.
+    /// Pre-allocates queue room for at least `additional` pending events.
+    /// Engines that know their steady-state pending-set size — e.g. one
+    /// timer per component — call this once at setup so the hot loop
+    /// never regrows the list.
     pub fn reserve_events(&mut self, additional: usize) {
         self.queue.reserve(additional);
     }
@@ -294,10 +273,9 @@ impl<M: Model, Q: PendingEvents<M::Event>> Simulation<M, Q> {
     /// pending and the clock is left at `horizon`), the queue drains, the
     /// model stops, or the budget runs out.
     ///
-    /// This is the probe-free loop, monomorphized per backend with no
-    /// probe checks inside — attaching observability costs nothing when
-    /// it is not used ([`run_until_probed`](Self::run_until_probed) is a
-    /// separate loop).
+    /// This is the probe-free loop, with no probe checks inside —
+    /// attaching observability costs nothing when it is not used
+    /// ([`run_until_probed`](Self::run_until_probed) is a separate loop).
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
         loop {
             if let Some(budget) = self.event_budget {
@@ -707,65 +685,102 @@ mod tests {
         assert_eq!(probe.events(), 4);
     }
 
-    // --- Backend genericity ----------------------------------------------
+    // --- The (time, seq) contract, end to end ----------------------------
 
-    /// One full engine run (reason, counters, clock, model trace) on the
-    /// given queue backend.
-    fn ticker_run<Q: crate::PendingEvents<()>>(
-        queue: Q,
-        probed: bool,
-    ) -> (StopReason, u64, SimTime, Vec<SimTime>) {
-        let mut sim = Simulation::with_queue(ticker(0.5, 50), 11, queue);
-        sim.reserve_events(8);
-        sim.schedule_at(SimTime::ZERO, ());
-        let horizon = SimTime::from_secs(20.0);
-        let reason = if probed {
-            let mut p = wt_obs::SimProbe::new();
-            sim.run_until_probed(horizon, &mut p)
-        } else {
-            sim.run_until(horizon)
-        };
-        (
-            reason,
-            sim.events_executed(),
-            sim.now(),
-            sim.into_model().fire_times,
-        )
-    }
-
+    /// Events scheduled for one instant — from setup and from handlers —
+    /// run FIFO in scheduling order, and a handler sees what it queued.
     #[test]
-    fn calendar_backend_runs_identically_to_heap() {
-        let heap = ticker_run(crate::EventQueue::new(), false);
-        let cal = ticker_run(crate::CalendarQueue::new(), false);
-        assert_eq!(heap, cal);
-        // And probed runs agree with both, across backends.
-        assert_eq!(ticker_run(crate::CalendarQueue::new(), true), heap);
-    }
-
-    #[test]
-    fn ctx_schedules_through_the_backend_trait() {
-        // A model whose handler inspects Ctx queue state exercises the
-        // dyn-dispatched path on a non-default backend.
-        struct Inspector {
-            depths: Vec<usize>,
+    fn equal_time_events_run_in_scheduling_order() {
+        struct Fan {
+            order: Vec<u32>,
+            pending_after_fan: usize,
         }
-        impl Model for Inspector {
+        impl Model for Fan {
             type Event = u32;
             fn handle(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
-                self.depths.push(ctx.pending_events());
-                if ev < 5 {
-                    ctx.schedule_in(SimDuration::from_secs(1.0), ev + 1);
+                self.order.push(ev);
+                if ev == 0 {
+                    for i in 10..60 {
+                        ctx.schedule_at(SimTime::from_secs(1.0), i);
+                    }
+                    self.pending_after_fan = ctx.pending_events();
                 }
             }
         }
-        let mut sim = Simulation::with_queue(
-            Inspector { depths: Vec::new() },
-            3,
-            crate::CalendarQueue::new(),
-        );
+        let fan = Fan {
+            order: Vec::new(),
+            pending_after_fan: 0,
+        };
+        let mut sim = Simulation::new(fan, 1);
+        sim.schedule_at(SimTime::from_secs(1.0), 1);
         sim.schedule_at(SimTime::ZERO, 0);
+        sim.schedule_at(SimTime::from_secs(1.0), 2);
         assert_eq!(sim.run(), StopReason::QueueEmpty);
-        assert_eq!(sim.model().depths, vec![0; 6]);
+        let expected: Vec<u32> = [0, 1, 2].into_iter().chain(10..60).collect();
+        assert_eq!(sim.model().order, expected);
+        assert_eq!(sim.model().pending_after_fan, 52);
+    }
+
+    /// A component-churn model on whole-second delays, so ties are the
+    /// norm. Each event carries the stamp of its scheduling (the model's
+    /// own push counter) and the handler checks the pop order against it.
+    struct Churn {
+        rng: crate::rng::Stream,
+        next_stamp: u64,
+        last: Option<(SimTime, u64)>,
+        out_of_order: u64,
+        digest: u64,
+    }
+
+    impl Model for Churn {
+        type Event = (u32, u64);
+        fn handle(&mut self, (component, stamp): (u32, u64), ctx: &mut Ctx<'_, (u32, u64)>) {
+            if self.last.is_some_and(|last| (ctx.now(), stamp) <= last) {
+                self.out_of_order += 1;
+            }
+            self.last = Some((ctx.now(), stamp));
+            self.digest = self
+                .digest
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(u64::from(component) ^ stamp);
+            let delay = 1.0 + self.rng.below(50) as f64;
+            ctx.schedule_in(SimDuration::from_secs(delay), (component, self.next_stamp));
+            self.next_stamp += 1;
+        }
+    }
+
+    fn churn_run(seed: u64, components: u32, events: u64) -> (u64, u64, SimTime) {
+        let model = Churn {
+            rng: RngFactory::new(seed).stream("churn"),
+            next_stamp: 0,
+            last: None,
+            out_of_order: 0,
+            digest: 0,
+        };
+        let mut sim = Simulation::new(model, seed);
+        sim.reserve_events(components as usize);
+        for c in 0..components {
+            let stamp = sim.model().next_stamp;
+            sim.schedule_at(SimTime::from_secs(f64::from(c % 7)), (c, stamp));
+            sim.model_mut().next_stamp += 1;
+        }
+        sim.set_event_budget(events);
+        assert_eq!(sim.run(), StopReason::EventBudgetExhausted);
+        assert_eq!(sim.pending_events(), components as usize);
+        let m = sim.model();
+        assert_eq!(m.next_stamp, u64::from(components) + events);
+        (m.out_of_order, m.digest, sim.now())
+    }
+
+    /// The long-run smoke: hundreds of thousands of pushes through a
+    /// steady pending set of a thousand timers, with most pops tied on
+    /// time, never leave `(time, seq)` order and replay bit-identically.
+    #[test]
+    fn long_churn_run_keeps_time_seq_order() {
+        let (out_of_order, digest, now) = churn_run(77, 1_000, 300_000);
+        assert_eq!(out_of_order, 0, "events popped out of (time, seq) order");
+        assert!(now > SimTime::from_secs(5_000.0), "run too short: {now}");
+        assert_eq!(churn_run(77, 1_000, 300_000), (out_of_order, digest, now));
     }
 
     #[test]

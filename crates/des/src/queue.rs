@@ -3,8 +3,15 @@
 //! A binary heap keyed on `(time, sequence)`. The sequence number makes the
 //! ordering of simultaneous events deterministic (FIFO in scheduling order),
 //! which is what makes whole simulations reproducible.
+//!
+//! # The `(time, seq)` contract
+//!
+//! Events pop in ascending `(time, seq)` order, where `seq` is the value
+//! [`EventQueue::push`] returns: a counter that starts at 0, increments by
+//! one per push over the queue's lifetime and never resets (a `u64`
+//! outlives any feasible run). Equal-time events therefore pop FIFO in
+//! scheduling order, never in an order derived from the heap's layout.
 
-use crate::pending::PendingEvents;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -111,24 +118,21 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> PendingEvents<E> for EventQueue<E> {
-    fn push(&mut self, time: SimTime, event: E) -> u64 {
-        EventQueue::push(self, time, event)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn peek_time(&mut self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        EventQueue::is_empty(self)
-    }
-    fn reserve(&mut self, additional: usize) {
-        EventQueue::reserve(self, additional);
+/// The future-event list a run uses, named for provenance (telemetry,
+/// benchmark records). The binary-heap [`EventQueue`] is the only one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum QueueBackend {
+    /// [`EventQueue`]: binary heap, O(log n) per operation.
+    #[default]
+    Heap,
+}
+
+impl QueueBackend {
+    /// The lower-case backend name recorded in telemetry.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            QueueBackend::Heap => "heap",
+        }
     }
 }
 

@@ -198,8 +198,9 @@ fn out_of_range(axis: &str, value: &ParamValue, needs: &str) -> WtqlError {
 
 /// Range-checks a bound scenario against the limits the engines assert
 /// on: at least one rack and one node per rack, at most 65,536
-/// nodes, and a redundancy width in `1..=min(255, nodes)`. The error
-/// names the offending axis and its value.
+/// nodes, at least one object (availability is a per-object mean), and
+/// a redundancy width in `1..=min(255, nodes)`. The error names the
+/// offending axis and its value.
 pub fn check_scenario(scenario: &Scenario) -> Result<(), WtqlError> {
     let topo = &scenario.topology;
     let num = |x: usize| ParamValue::Num(x as f64);
@@ -212,6 +213,9 @@ pub fn check_scenario(scenario: &Scenario) -> Result<(), WtqlError> {
             &num(0),
             "nodes_per_rack >= 1",
         ));
+    }
+    if scenario.objects == 0 {
+        return Err(out_of_range("objects", &num(0), "objects >= 1"));
     }
     let nodes = topo.racks.saturating_mul(topo.nodes_per_rack);
     if nodes > MAX_NODES {

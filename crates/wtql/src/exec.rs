@@ -1007,6 +1007,10 @@ mod tests {
                 "replication = 70000",
             ),
             ("EXPLORE availability SWEEP racks IN [1, 0]", "racks = 0"),
+            (
+                "EXPLORE availability SWEEP objects IN [0]",
+                "objects = 0 is out of range: needs objects >= 1",
+            ),
         ] {
             let q = parse(text).unwrap();
             let opts = ExecOptions {

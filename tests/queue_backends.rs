@@ -1,159 +1,36 @@
-//! Integration: the pluggable future-event list end to end. Both queue
-//! backends (`heap`, `calendar`) must drive the engines to bitwise-
-//! identical results — same event order, same RNG draws, same
-//! `RunRecord` bytes — with the backend visible only as telemetry
-//! provenance. Covers deterministic availability + perf runs through
-//! `WindTunnel`, a proptest over small engine configs, and a
+//! Integration: the future-event list end to end. One queue backend
+//! remains, the binary heap (`QueueBackend::Heap`); it is visible only
+//! as telemetry provenance and must never perturb results. Covers a
 //! churn-heavy long run as the seq-headroom smoke.
 
 use windtunnel::prelude::*;
-use wt_store::SharedStore;
-
-fn scenarios() -> Vec<Scenario> {
-    (0..6)
-        .map(|i| {
-            ScenarioBuilder::new(format!("qb-{i}"))
-                .racks(1 + i % 3)
-                .nodes_per_rack(6 + i % 5)
-                .objects(150)
-                .object_gb(4.0)
-                .switch_failures(i % 2 == 0)
-                .disk_failures(i % 2 == 1)
-                .horizon_years(0.15)
-                .seed(900 + i as u64)
-                .build()
-        })
-        .collect()
-}
-
-/// Serializes every record with wall-clock masked and the queue
-/// provenance *asserted then stripped* — what's left must be identical
-/// across backends.
-fn record_bytes(store: &SharedStore, expect_queue: &str) -> String {
-    let snapshot = store.snapshot();
-    assert!(!snapshot.is_empty());
-    snapshot
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            let t = r
-                .telemetry
-                .as_mut()
-                .expect("observed runs attach telemetry");
-            assert_eq!(
-                t.queue.as_deref(),
-                Some(expect_queue),
-                "telemetry must record the backend the run used"
-            );
-            t.mask_wall();
-            t.queue = None;
-            serde_json::to_string(&r).expect("serializes")
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn run_all(queue: QueueBackend) -> (String, String) {
-    let tunnel = WindTunnel::new();
-    let avail_store = SharedStore::new();
-    let perf_store = SharedStore::new();
-    for mut sc in scenarios() {
-        sc.queue = Some(queue);
-        let (_r, _t) = tunnel.run_availability_observed_into(&sc, &avail_store, None);
-        sc.tenants = vec![TenantWorkload::oltp("t", 120.0, 5_000)];
-        let (_r, _t) = tunnel.run_perf_observed_into(&sc, true, &perf_store, None);
-    }
-    (
-        record_bytes(&avail_store, queue.as_str()),
-        record_bytes(&perf_store, queue.as_str()),
-    )
-}
-
-#[test]
-fn run_records_identical_across_backends() {
-    let (avail_heap, perf_heap) = run_all(QueueBackend::Heap);
-    let (avail_cal, perf_cal) = run_all(QueueBackend::Calendar);
-    assert_eq!(
-        avail_heap, avail_cal,
-        "availability RunRecords diverged between queue backends"
-    );
-    assert_eq!(
-        perf_heap, perf_cal,
-        "perf RunRecords diverged between queue backends"
-    );
-}
 
 /// The seq-headroom smoke: a cluster under failure pressure high enough
-/// to push the event count past several hundred thousand — far past any
-/// bucket-resize and width-re-estimation thresholds — still bit-equal.
+/// to push the event count past several hundred thousand still runs
+/// bit-equal with and without an observer, and names the heap as its
+/// queue backend.
 #[test]
 fn long_churn_run_stays_equivalent() {
-    let mk = |queue| {
-        let mut sc = ScenarioBuilder::new("qb-long")
-            .racks(4)
-            .nodes_per_rack(12)
-            .objects(200)
-            .object_gb(2.0)
-            .disk_failures(true)
-            .horizon_years(12.0)
-            .seed(77)
-            .queue(queue)
-            .build();
-        // Weibull infant mortality with a short mean: constant churn.
-        sc.topology.node.ttf = Dist::weibull_mean(0.7, 10.0 * 86_400.0);
-        sc
-    };
+    let mut sc = ScenarioBuilder::new("qb-long")
+        .racks(4)
+        .nodes_per_rack(12)
+        .objects(200)
+        .object_gb(2.0)
+        .disk_failures(true)
+        .horizon_years(12.0)
+        .seed(77)
+        .build();
+    // Weibull infant mortality with a short mean: constant churn.
+    sc.topology.node.ttf = Dist::weibull_mean(0.7, 10.0 * 86_400.0);
     let tunnel = WindTunnel::new();
-    let heap = mk(QueueBackend::Heap);
-    let calendar = mk(QueueBackend::Calendar);
-    let (r_heap, t_heap) = tunnel.run_availability_observed_into(&heap, tunnel.store(), None);
-    let (r_cal, t_cal) = tunnel.run_availability_observed_into(&calendar, tunnel.store(), None);
+    let plain = tunnel.run_availability(&sc);
+    let (observed, t) = tunnel.run_availability_observed_into(&sc, tunnel.store(), None);
     assert!(
-        t_heap.events > 300_000,
+        t.events > 300_000,
         "smoke must be churn-heavy, got {} events",
-        t_heap.events
+        t.events
     );
-    assert_eq!(r_heap, r_cal);
-    assert_eq!(t_heap.events, t_cal.events);
-    assert_eq!(t_heap.events_by_label, t_cal.events_by_label);
-}
-
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Full engine runs on arbitrary small configs: the availability
-        /// engine's result (every field, availability through event
-        /// count) is identical on both backends.
-        #[test]
-        fn engine_runs_equivalent(
-            racks in 1usize..3,
-            per_rack in 2usize..9,
-            replication in 2usize..4,
-            objects in 50u64..300,
-            seed in 0u64..1_000,
-            horizon_cy in 5u64..40, // centi-years: 0.05..0.40
-        ) {
-            let mk = |queue| {
-                ScenarioBuilder::new("qb-prop")
-                    .racks(racks)
-                    .nodes_per_rack(per_rack)
-                    .replication(replication.min(racks * per_rack))
-                    .objects(objects)
-                    .horizon_years(horizon_cy as f64 / 100.0)
-                    .seed(seed)
-                    .queue(queue)
-                    .build()
-            };
-            let heap = WindTunnel::availability_model(&mk(QueueBackend::Heap));
-            let calendar = WindTunnel::availability_model(&mk(QueueBackend::Calendar));
-            let horizon = wt_des::SimDuration::from_years(horizon_cy as f64 / 100.0);
-            let r_heap = heap.run(seed, horizon);
-            let r_cal = calendar.run(seed, horizon);
-            prop_assert_eq!(r_heap, r_cal);
-        }
-    }
+    assert_eq!(plain, observed);
+    assert_eq!(t.events, observed.sim_events);
+    assert_eq!(t.queue.as_deref(), Some("heap"));
 }

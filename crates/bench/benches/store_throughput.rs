@@ -15,10 +15,10 @@
 //!
 //! The deterministic in-order merge (where ids are assigned and indexes
 //! built) is timed **separately** and reported as `merge rec/s`: in the
-//! real farm the merge runs on the fold thread, overlapped with the
-//! workers' ongoing simulation, so it is off the recording critical
-//! path — folding it into the workers' number would charge the sharded
-//! design for time the workers never wait.
+//! real farm the merge runs on the calling thread after the last run
+//! finishes, so it is off the workers' recording path — folding it into
+//! the workers' number would charge the sharded design for time the
+//! workers never wait.
 //!
 //! Workers synchronize on a barrier before recording; the timer starts
 //! before the main thread enters the barrier and stops after the last
@@ -148,7 +148,7 @@ fn main() {
         "store_throughput: {TOTAL} record appends per run, {SAMPLES} samples, best-of reported"
     );
     println!("(shard rec/s is the workers' recording phase; the deterministic merge");
-    println!(" runs on the farm's fold thread and is reported separately)");
+    println!(" runs on the farm's calling thread and is reported separately)");
     println!(
         "{:>7}  {:>12}  {:>12}  {:>12}  {:>8}",
         "workers", "mutex rec/s", "shard rec/s", "merge rec/s", "speedup"
@@ -187,7 +187,7 @@ fn main() {
         "{{\n  \"bench\": \"store_throughput\",\n  \"records_per_run\": {TOTAL},\n  \
          \"samples\": {SAMPLES},\n  \
          \"metric\": \"worker-side records appended per second, best sample; \
-         merge runs on the fold thread and is timed separately\",\n  \
+         merge runs on the calling thread and is timed separately\",\n  \
          \"results\": [\n{rows}\n  ],\n  \"speedup_at_8_workers\": {speedup_at_8:.2}\n}}\n"
     );
     let out = std::env::var("BENCH_STORE_OUT").unwrap_or_else(|_| {

@@ -279,10 +279,8 @@ fn main() {
             "--stress" => stress = true,
             "--csv" => csv_path = Some(it.next().unwrap_or_else(|| usage())),
             "--workers" | "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
+                threads =
+                    wt_bench::count_flag(&arg, "worker", &it.next().unwrap_or_else(|| usage()))
             }
             "--explain" => explain_only = true,
             "--interactive" | "-i" => interactive = true,

@@ -25,18 +25,25 @@ pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
         .and_then(|pos| args.get(pos + 1))
 }
 
+/// Parses the value of the count flag `name` (`--workers`,
+/// `--partitions`) with the shared knob helper. Exits with a usage error
+/// (code 2) on zero or a non-numeric value.
+pub fn count_flag(name: &str, noun: &str, value: &str) -> usize {
+    match windtunnel::knobs::parse_count(name, noun, Some(value)) {
+        Ok(n) => n.expect("a present value is a count or an error"),
+        Err(reason) => {
+            eprintln!("error: {reason}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// The shared `--workers N` flag: an explicit pool size when given,
 /// otherwise the environment default (`WT_WORKERS`, then host cores).
-/// Exits with a usage error on a non-numeric value.
+/// Exits with a usage error on zero or a non-numeric value.
 pub fn farm_from_args(args: &[String]) -> Farm {
     match flag_value(args, "--workers") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(w) => Farm::new(w),
-            Err(_) => {
-                eprintln!("error: --workers expects a number, got '{v}'");
-                std::process::exit(2);
-            }
-        },
+        Some(v) => Farm::new(count_flag("--workers", "worker", v)),
         None => Farm::from_env(),
     }
 }
@@ -57,13 +64,7 @@ pub fn runner_from_args(args: &[String]) -> SweepRunner {
 /// count, which the CI partition-smoke job diffs.
 pub fn partitions_from_args(args: &[String]) -> usize {
     match flag_value(args, "--partitions") {
-        Some(v) => match windtunnel::knobs::parse_count("--partitions", "partition", Some(v)) {
-            Ok(n) => n.unwrap_or(1),
-            Err(reason) => {
-                eprintln!("error: {reason}");
-                std::process::exit(2);
-            }
-        },
+        Some(v) => count_flag("--partitions", "partition", v),
         None => windtunnel::knobs::partitions_from_env(),
     }
 }

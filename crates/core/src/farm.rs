@@ -1,25 +1,30 @@
-//! The run farm: a deterministic parallel executor for simulation runs.
+//! The run farm: the one deterministic parallel executor for simulation
+//! runs.
 //!
 //! Every entry point that sweeps a set of runs — the figure binaries, the
-//! experiment (`e*`) binaries, and the WTQL executor — funnels through
-//! [`Farm`] instead of hand-rolling a thread pool. The farm guarantees a
-//! property the bespoke pools could not: **results are bitwise-identical
-//! regardless of worker count or scheduling**, because
+//! experiment (`e*`) binaries, and the WTQL executor — dispatches onto
+//! [`Farm`]'s one scheduler instead of hand-rolling a thread pool. The
+//! farm guarantees that **results are bitwise-identical regardless of
+//! worker count or scheduling**, because
 //!
 //! 1. every run's RNG seed is derived from the *item index* alone (a
 //!    splitmix64 substream of the root seed, see [`substream_seed`]), not
 //!    from which worker picks the item up, and
-//! 2. per-run results are folded **in item order**: workers stream
-//!    `(index, result)` pairs to the caller, which holds a small reorder
-//!    buffer and applies the fold callback strictly at the next expected
-//!    index — a streaming merge, with no `Vec<RunResult>` barrier and no
-//!    lock around the aggregate.
+//! 2. results come back in item order, and every run records into a
+//!    private [`StoreShard`]; the shards merge into the store in item
+//!    order after the last run finishes.
 //!
-//! Work distribution is chunked self-scheduling: idle workers claim the
-//! next fixed-size chunk of indices from a shared atomic cursor, so a
-//! worker that lands a cheap chunk immediately steals more work instead
-//! of idling behind a static partition. Chunk boundaries depend only on
-//! the item count, never on the worker count.
+//! Workers claim one item at a time under one mutex. [`Farm::run`] and
+//! [`Farm::run_recorded`] claim in plan (index) order;
+//! [`SweepRunner::run_points`](crate::sweep::SweepRunner::run_points)
+//! adds dependency lists that hold an item back until the items it
+//! depends on have finished, and a rank that picks among the eligible
+//! ones. A claim in plan order pops the lowest ready index off an ordered
+//! set, so its cost does not grow with the item count.
+//!
+//! A panic in any run stops all further claims: once the runs in flight
+//! finish, the first panic payload resumes on the caller and the store is
+//! left untouched.
 //!
 //! ```
 //! use windtunnel::farm::Farm;
@@ -29,15 +34,16 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Condvar, Mutex};
 use wt_store::{SharedStore, StoreShard};
 
 /// Per-run context handed to the work closure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunCtx {
-    /// This run's position in the item slice (also the fold order).
+    /// This run's position in the item slice (also the result order).
     pub index: usize,
     /// This run's RNG seed: a substream of the farm call's root seed,
     /// derived from `index` alone so scheduling cannot perturb it.
@@ -78,6 +84,38 @@ fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
+/// Scheduler state, held under one mutex.
+struct Sched {
+    /// Eligible, unclaimed item indices.
+    ready: BTreeSet<usize>,
+    /// Unfinished-dependency count per item.
+    remaining: Vec<usize>,
+    /// Items claimed by a worker so far (claimed ⇒ eventually finishes,
+    /// unless a run panics).
+    issued: usize,
+    /// The first panic payload caught from a run; once set, workers stop
+    /// claiming and the caller resumes the unwind.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Sched {
+    /// Takes the next item off the ready set: the lowest index, or with a
+    /// `rank` the index maximizing it, ties toward the lowest index
+    /// (`f64::total_cmp`, so a NaN-scoring rank is still deterministic).
+    fn claim(&mut self, rank: Option<&(dyn Fn(usize) -> f64 + Sync)>) -> Option<usize> {
+        let Some(rank) = rank else {
+            return self.ready.pop_first();
+        };
+        let (_, i) = self
+            .ready
+            .iter()
+            .map(|&i| (rank(i), i))
+            .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))?;
+        self.ready.remove(&i);
+        Some(i)
+    }
+}
+
 impl Farm {
     /// A farm with `workers` threads (0 is clamped to 1).
     pub fn new(workers: usize) -> Self {
@@ -87,7 +125,7 @@ impl Farm {
         }
     }
 
-    /// A single-threaded farm (runs on the caller's thread).
+    /// A single-worker farm.
     pub fn serial() -> Self {
         Farm::new(1)
     }
@@ -107,9 +145,9 @@ impl Farm {
     }
 
     /// Enables (or disables) the stderr progress heartbeat: roughly one
-    /// line per second from the fold thread — runs done/total, rate, ETA.
-    /// Purely observational: workers never see it and result bytes are
-    /// unaffected (see `heartbeat_does_not_change_results`).
+    /// line per second from the calling thread — runs done/total, rate,
+    /// ETA. Purely observational: workers never see it and result bytes
+    /// are unaffected (see `heartbeat_does_not_change_results`).
     pub fn with_heartbeat(mut self, on: bool) -> Self {
         self.heartbeat = on;
         self
@@ -118,13 +156,6 @@ impl Farm {
     /// Number of worker threads this farm uses.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Whether the stderr progress heartbeat is enabled. Execution paths
-    /// that schedule work themselves (`SweepRunner::run_points`) read
-    /// this to decide whether to drive their own [`wt_obs::Heartbeat`].
-    pub fn heartbeat_enabled(&self) -> bool {
-        self.heartbeat
     }
 
     /// Runs `work` over every item and collects the results in item order.
@@ -137,23 +168,29 @@ impl Farm {
         R: Send,
         F: Fn(&T, RunCtx) -> R + Sync,
     {
-        let acc = Vec::with_capacity(items.len());
-        self.run_fold(root_seed, items, work, acc, |mut v, _idx, r| {
-            v.push(r);
-            v
-        })
+        self.schedule(
+            root_seed,
+            items,
+            &[],
+            None,
+            |_| {},
+            |item, ctx, _| work(item, ctx),
+        )
+        .into_iter()
+        .map(|(result, _)| result)
+        .collect()
     }
 
     /// Runs `work` over every item with a private [`StoreShard`] per run,
-    /// merging each shard into `store` **in item order** as results
-    /// stream in — the lock-free recording path.
+    /// merging the shards into `store` **in item order** after the last
+    /// run finishes — the lock-free recording path.
     ///
     /// Workers never touch the shared store: every record a run emits is
-    /// a plain `Vec` push into its own shard, and the fold thread merges
-    /// shards (one `SharedStore` lock acquisition per run, uncontended)
-    /// strictly at the next expected index. Record ids and snapshot
+    /// a plain `Vec` push into its own shard. Record ids and snapshot
     /// order in `store` are therefore bitwise-identical for any worker
-    /// count, exactly like the run results themselves.
+    /// count, exactly like the run results themselves. When the heartbeat
+    /// is on, it skims event counts and per-run wall time (plus
+    /// per-partition event totals) off each finished run's shard.
     ///
     /// ```
     /// use windtunnel::farm::Farm;
@@ -182,158 +219,147 @@ impl Farm {
         R: Send,
         F: Fn(&T, RunCtx, &StoreShard) -> R + Sync,
     {
-        let results = Vec::with_capacity(items.len());
-        self.run_fold_with(
-            root_seed,
-            items,
-            |item, ctx| {
-                let shard = StoreShard::new();
-                let result = work(item, ctx, &shard);
-                (result, shard)
-            },
-            results,
-            |mut v, _idx, (result, shard)| {
+        self.schedule(root_seed, items, &[], None, |_| {}, work)
+            .into_iter()
+            .map(|(result, shard)| {
                 store.merge_shard(shard);
-                v.push(result);
-                v
-            },
-            // Recorded runs carry telemetry, so the heartbeat (when on)
-            // skims event counts and per-run wall time off each shard
-            // before it merges — the progress line gains cumulative ev/s
-            // and a p99 run time, plus per-partition event totals when
-            // runs are partitioned. Stderr only; result bytes unaffected.
-            |(_, shard), beat| {
-                shard.peek(|r| {
-                    if let Some(t) = &r.telemetry {
-                        beat.observe_run(t.events, t.wall.wall_us);
-                        observe_partition_marks(beat, &t.marks);
-                    }
-                });
-            },
-        )
+                result
+            })
+            .collect()
     }
 
-    /// Runs `work` over every item, folding each result into `init` **in
-    /// item order** as results stream in (no barrier: the fold for item
-    /// `i` runs as soon as items `0..=i` have all completed, while later
-    /// items are still executing).
+    /// The scheduler behind every entry point: runs `work` over every
+    /// item on `workers` threads, each run with its own [`StoreShard`],
+    /// and returns `(result, shard)` pairs in item order for the caller
+    /// to merge.
     ///
-    /// The fold runs on the calling thread, so the accumulator needs no
-    /// synchronization; combined with index-derived seeds this makes the
-    /// final accumulator bitwise-identical for any worker count.
-    pub fn run_fold<T, R, A, F, G>(
+    /// `deps[i]` (an empty slice means no dependencies at all) lists items
+    /// that must finish before item `i` may be claimed; each must be
+    /// strictly smaller than `i` (asserted), which keeps the graph acyclic
+    /// and the scheduler stall-free. Without a `rank`, ready items are
+    /// claimed in index order; with one, `rank` is consulted at every
+    /// claim. `observe` feeds extra totals into the heartbeat after each
+    /// finished run's shard telemetry; it runs on the calling thread and
+    /// only when the heartbeat is on.
+    ///
+    /// A panic in `work` stops every further claim and resumes on the
+    /// calling thread once the workers have exited.
+    pub(crate) fn schedule<T, R, F>(
         &self,
         root_seed: u64,
         items: &[T],
+        deps: &[Vec<usize>],
+        rank: Option<&(dyn Fn(usize) -> f64 + Sync)>,
+        mut observe: impl FnMut(&mut wt_obs::Heartbeat),
         work: F,
-        init: A,
-        fold: G,
-    ) -> A
+    ) -> Vec<(R, StoreShard)>
     where
         T: Sync,
         R: Send,
-        F: Fn(&T, RunCtx) -> R + Sync,
-        G: FnMut(A, usize, R) -> A,
-    {
-        self.run_fold_with(root_seed, items, work, init, fold, |_, _| {})
-    }
-
-    /// [`Farm::run_fold`] with a heartbeat observer: when the heartbeat
-    /// is enabled, `observe` sees each result on the fold thread (in
-    /// item order, just before `fold` consumes it) and can feed run
-    /// telemetry into the [`wt_obs::Heartbeat`]. With the heartbeat off,
-    /// `observe` is never called.
-    fn run_fold_with<T, R, A, F, G, O>(
-        &self,
-        root_seed: u64,
-        items: &[T],
-        work: F,
-        init: A,
-        mut fold: G,
-        mut observe: O,
-    ) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T, RunCtx) -> R + Sync,
-        G: FnMut(A, usize, R) -> A,
-        O: FnMut(&R, &mut wt_obs::Heartbeat),
+        F: Fn(&T, RunCtx, &StoreShard) -> R + Sync,
     {
         let n = items.len();
-        let ctx = |index: usize| RunCtx {
-            index,
-            seed: substream_seed(root_seed, index as u64),
-        };
-        // Heartbeat lives on the fold/caller thread only: workers cannot
-        // see it, and it writes to stderr, so result bytes are unaffected.
-        let mut beat = self.heartbeat.then(|| wt_obs::Heartbeat::start(n));
-        let mut pulse = move |r: &R| {
-            if let Some(b) = beat.as_mut() {
-                observe(r, b);
-                if let Some(line) = b.tick() {
-                    eprintln!("{line}");
-                }
+        let mut remaining = vec![0; n];
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, ds) in deps.iter().enumerate() {
+            remaining[i] = ds.len();
+            for &d in ds {
+                assert!(d < i, "dep {d} of point {i} is not strictly earlier");
+                dependents[d].push(i);
             }
-        };
-        if self.workers == 1 || n <= 1 {
-            let mut acc = init;
-            for (i, item) in items.iter().enumerate() {
-                let result = work(item, ctx(i));
-                pulse(&result);
-                acc = fold(acc, i, result);
-            }
-            return acc;
         }
-
-        let chunk = chunk_size(n);
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        // `Option` dance: the scope closure mutably captures the
-        // accumulator but must move it through the fold callback.
-        let mut acc = Some(init);
+        let state = Mutex::new(Sched {
+            ready: (0..n).filter(|&i| remaining[i] == 0).collect(),
+            remaining,
+            issued: 0,
+            panic: None,
+        });
+        let cv = Condvar::new();
+        // The heartbeat lives on the calling thread only and writes to
+        // stderr, so result bytes are unaffected.
+        let mut beat = self.heartbeat.then(|| wt_obs::Heartbeat::start(n));
+        let mut slots: Vec<Option<(R, StoreShard)>> = (0..n).map(|_| None).collect();
+        let (tx, rx) = mpsc::channel::<(usize, R, StoreShard)>();
         std::thread::scope(|scope| {
             for _ in 0..self.workers.min(n) {
                 let tx = tx.clone();
-                let cursor = &cursor;
-                let work = &work;
+                let (state, cv, work, dependents) = (&state, &cv, &work, &dependents);
                 scope.spawn(move || loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        return;
-                    }
-                    let end = (start + chunk).min(n);
-                    for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                        let result = work(item, ctx(i));
-                        if tx.send((i, result)).is_err() {
-                            return; // receiver gone: caller is unwinding
+                    let i = {
+                        let mut s = state.lock().expect("no worker panics holding the lock");
+                        loop {
+                            if s.issued == n || s.panic.is_some() {
+                                return;
+                            }
+                            if let Some(i) = s.claim(rank) {
+                                s.issued += 1;
+                                break i;
+                            }
+                            // Nothing is ready but items remain: a claimed
+                            // item is still running (deps chain down to an
+                            // initially-ready one) and notifies on finishing.
+                            s = cv.wait(s).expect("no worker panics holding the lock");
+                        }
+                    };
+                    let shard = StoreShard::new();
+                    let ctx = RunCtx {
+                        index: i,
+                        seed: substream_seed(root_seed, i as u64),
+                    };
+                    let result =
+                        panic::catch_unwind(AssertUnwindSafe(|| work(&items[i], ctx, &shard)));
+                    let mut s = state.lock().expect("no worker panics holding the lock");
+                    match result {
+                        Ok(r) => {
+                            for &j in &dependents[i] {
+                                s.remaining[j] -= 1;
+                                if s.remaining[j] == 0 {
+                                    s.ready.insert(j);
+                                }
+                            }
+                            drop(s);
+                            cv.notify_all();
+                            if tx.send((i, r, shard)).is_err() {
+                                return; // receiver gone: caller is unwinding
+                            }
+                        }
+                        Err(payload) => {
+                            // The item's dependents can never become ready:
+                            // wake every waiting worker so it sees the
+                            // failure and exits.
+                            s.panic.get_or_insert(payload);
+                            drop(s);
+                            cv.notify_all();
+                            return;
                         }
                     }
                 });
             }
             drop(tx); // the receive loop ends when the last worker exits
-
-            let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-            let mut next = 0usize;
-            for (i, result) in rx {
-                pending.insert(i, result);
-                while let Some(ready) = pending.remove(&next) {
-                    pulse(&ready);
-                    let a = acc.take().expect("accumulator in flight");
-                    acc = Some(fold(a, next, ready));
-                    next += 1;
+            for (i, r, shard) in rx {
+                if let Some(b) = beat.as_mut() {
+                    shard.peek(|rec| {
+                        if let Some(t) = &rec.telemetry {
+                            b.observe_run(t.events, t.wall.wall_us);
+                            observe_partition_marks(b, &t.marks);
+                        }
+                    });
+                    observe(b);
+                    if let Some(line) = b.tick() {
+                        eprintln!("{line}");
+                    }
                 }
+                slots[i] = Some((r, shard));
             }
-            assert_eq!(next, n, "farm lost {} result(s)", n - next);
         });
-        acc.expect("accumulator present after scope")
+        if let Some(payload) = state.into_inner().expect("workers have exited").panic {
+            panic::resume_unwind(payload);
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every item finished"))
+            .collect()
     }
-}
-
-/// Chunk size for self-scheduling: a pure function of the item count so
-/// chunk boundaries never depend on worker count. Small enough to balance
-/// uneven run times, large enough to keep cursor traffic negligible.
-fn chunk_size(n: usize) -> usize {
-    (n / 64).clamp(1, 32)
 }
 
 /// Feeds a partitioned run's `partition/<i>` telemetry marks into the
@@ -341,7 +367,7 @@ fn chunk_size(n: usize) -> usize {
 /// numerically — the marks map is ordered by string, which would put
 /// `partition/10` before `partition/2`. Runs without partition marks
 /// (serial execution) feed nothing and leave the progress line as is.
-pub(crate) fn observe_partition_marks(beat: &mut wt_obs::Heartbeat, marks: &BTreeMap<String, u64>) {
+fn observe_partition_marks(beat: &mut wt_obs::Heartbeat, marks: &BTreeMap<String, u64>) {
     let mut per_part: Vec<u64> = Vec::new();
     for (key, &events) in marks {
         let Some(idx) = key
@@ -363,7 +389,7 @@ pub(crate) fn observe_partition_marks(beat: &mut wt_obs::Heartbeat, marks: &BTre
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn collects_in_item_order() {
@@ -385,23 +411,6 @@ mod tests {
             });
             assert_eq!(got, gold, "worker count {workers} diverged");
         }
-    }
-
-    #[test]
-    fn fold_sees_indices_in_order_without_barrier() {
-        let items: Vec<u64> = (0..300).collect();
-        let farm = Farm::new(4);
-        let seen = farm.run_fold(
-            0,
-            &items,
-            |&x, _| x,
-            Vec::new(),
-            |mut seen: Vec<usize>, idx, _| {
-                seen.push(idx);
-                seen
-            },
-        );
-        assert_eq!(seen, (0..300).collect::<Vec<_>>());
     }
 
     #[test]
@@ -497,7 +506,7 @@ mod tests {
             .with_heartbeat(true)
             .run(17, &items, |&x, ctx| x.wrapping_mul(ctx.seed));
         assert_eq!(chatty, quiet);
-        // And on the serial path too.
+        // And at one worker.
         let serial = Farm::serial()
             .with_heartbeat(true)
             .run(17, &items, |&x, ctx| x.wrapping_mul(ctx.seed));
@@ -601,16 +610,5 @@ mod tests {
         observe_partition_marks(&mut beat, &plain);
         let line = beat.tick_at(1.0).expect("interval 0 always emits");
         assert!(!line.contains("parts="), "{line}");
-    }
-
-    #[test]
-    fn chunking_is_worker_independent() {
-        // Indirectly covered by identical_results_for_any_worker_count;
-        // here pin the function itself so a refactor can't silently make
-        // it depend on anything but n.
-        assert_eq!(chunk_size(1), 1);
-        assert_eq!(chunk_size(64), 1);
-        assert_eq!(chunk_size(640), 10);
-        assert_eq!(chunk_size(1 << 20), 32);
     }
 }

@@ -14,18 +14,18 @@
 //!   a content hash of its assignment, not of its enumeration index.
 //! * [`SweepRunner`] executes a grid over the existing [`Farm`]: every
 //!   (point × replication) pair becomes one farm item, records flow
-//!   through per-worker [`wt_store::StoreShard`]s into the
-//!   [`SharedStore`] in item
-//!   order (ids bitwise-stable at any worker count), and replication
+//!   through per-run [`wt_store::StoreShard`]s into the [`SharedStore`]
+//!   in item order (ids bitwise-stable at any worker count), and replication
 //!   metrics are aggregated per point with [`wt_des::Tally`] merges.
 //! * [`SweepReport`] renders a [`SweepOutcome`] as the fixed-width
 //!   [`Table`] the experiment binaries print.
 //!
 //! The WTQL executor (`wt-wtql`) runs every query's grid through
-//! [`SweepRunner::run_points`], a dependency-DAG scheduler: dominance
-//! edges gate each point on the points that could prune it, and a rank
-//! function picks among the eligible ones. An exhaustive query is that
-//! scheduler with every guided stage off and rank = plan order.
+//! [`SweepRunner::run_points`], which hands the farm's one scheduler a
+//! dependency DAG: dominance edges gate each point on the points that
+//! could prune it, and a rank function picks among the eligible ones. An
+//! exhaustive query is that scheduler with every guided stage off and
+//! rank = plan order.
 //!
 //! ```
 //! use std::collections::BTreeMap;
@@ -47,17 +47,14 @@
 //! assert_eq!(store.len(), 8); // one record per (point × replication)
 //! ```
 
-use std::any::Any;
 use std::collections::BTreeMap;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
-use crate::farm::{observe_partition_marks, substream_seed, Farm, RunCtx};
+use crate::farm::{substream_seed, Farm, RunCtx};
 use crate::report::Table;
 use wt_des::{QuantileSketch, Tally};
-use wt_store::{ParamValue, RecordSink, RunRecord, SharedStore, StoreShard};
+use wt_store::{ParamValue, RecordSink, RunRecord, SharedStore};
 
 /// One grid point's configuration: `(axis name, value)` pairs.
 pub type Assignment = Vec<(String, ParamValue)>;
@@ -89,8 +86,8 @@ pub enum MetricAgg {
     Max,
     /// The given quantile over replications, estimated with a
     /// [`QuantileSketch`] fed in replication order — the sketch's
-    /// order-independent bucket state plus the farm's ordered fold keep
-    /// the result bitwise worker-count-invariant, and large replication
+    /// order-independent bucket state plus the farm's index-order merge
+    /// keep the result bitwise worker-count-invariant, and large replication
     /// counts stay constant-memory.
     Quantile(f64),
 }
@@ -546,48 +543,11 @@ impl GuidedCounters {
     }
 }
 
-/// Mutable scheduler state for [`SweepRunner::run_points`], held under
-/// one mutex.
-struct Sched {
-    /// Eligible, unclaimed point indices.
-    ready: Vec<usize>,
-    /// Unfinished-dependency count per point.
-    remaining: Vec<usize>,
-    /// Points claimed by a worker so far (issued ⇒ eventually completes,
-    /// unless a point panics).
-    issued: usize,
-    /// The first panic payload caught from the evaluation closure; once
-    /// set, workers stop claiming and the caller resumes the unwind.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-/// Picks the position in `ready` of the point maximizing `rank`, breaking
-/// ties toward the lowest index (`f64::total_cmp`, so a NaN-scoring rank
-/// is still deterministic). `None` on an empty ready set.
-fn pick_ready(ready: &[usize], rank: &(dyn Fn(usize) -> f64 + Sync)) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (pos, &i) in ready.iter().enumerate() {
-        let score = rank(i);
-        let better = match best {
-            None => true,
-            Some((bpos, bscore)) => match score.total_cmp(&bscore) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => i < ready[bpos],
-                std::cmp::Ordering::Less => false,
-            },
-        };
-        if better {
-            best = Some((pos, score));
-        }
-    }
-    best.map(|(pos, _)| pos)
-}
-
 /// Executes sweep grids on a [`Farm`].
 ///
 /// Every (point × replication) pair is one farm item; the farm's
-/// deterministic fold keeps record ids and row order independent of the
-/// worker count.
+/// index-ordered results and shard merge keep record ids and row order
+/// independent of the worker count.
 pub struct SweepRunner {
     farm: Farm,
 }
@@ -611,11 +571,6 @@ impl SweepRunner {
     /// Worker count of the underlying farm.
     pub fn workers(&self) -> usize {
         self.farm.workers()
-    }
-
-    /// The underlying farm.
-    pub fn farm(&self) -> &Farm {
-        &self.farm
     }
 
     /// Declares-and-runs: enumerates `spec`'s grid, evaluates every
@@ -704,7 +659,9 @@ impl SweepRunner {
     /// The recorded path: one closure call per grid *point* (no
     /// replication fan-out, no aggregation), returning whatever the
     /// closure returns, in grid order. WTQL's executor runs every query
-    /// through this; DESIGN.md §13 describes the stages it schedules.
+    /// through this; DESIGN.md §13 describes the stages it schedules. It
+    /// runs on the farm's one scheduler, the same one behind
+    /// [`Farm::run`] and [`Farm::run_recorded`], with two extra inputs:
     ///
     /// `deps[i]` lists point indices that must complete before point `i`
     /// may start — each must be **strictly smaller** than `i` (asserted),
@@ -718,10 +675,10 @@ impl SweepRunner {
     /// Ordering is a *performance* lever, never a correctness one: every
     /// point's seed derives from its grid index (a [`substream_seed`] of
     /// the grid's root seed), each point records into a private
-    /// [`StoreShard`], and shards merge into `store` in grid-index order
-    /// after all points finish — so for a fixed evaluation closure the
-    /// returned vector and the store bytes are identical at any worker
-    /// count and under any rank function. (A closure that consults
+    /// [`wt_store::StoreShard`], and shards merge into `store` in
+    /// grid-index order after the last point finishes — so for a fixed
+    /// evaluation closure the returned vector and the store bytes are
+    /// identical at any worker count and under any rank function. (A closure that consults
     /// earlier verdicts — dominance pruning — is exactly what `deps`
     /// sequences.)
     ///
@@ -729,9 +686,9 @@ impl SweepRunner {
     /// screened/aborted/early-stopped totals once any is non-zero; pass a
     /// fresh [`GuidedCounters`] if the closure never increments any.
     ///
-    /// A panic in `eval` stops the run: the remaining workers claim
-    /// nothing further, and the panic resumes on the calling thread once
-    /// every worker has exited.
+    /// A panic in `eval` stops the run: the workers claim nothing
+    /// further, the first panic resumes on the calling thread once every
+    /// worker has exited, and `store` is left untouched.
     pub fn run_points<R, F>(
         &self,
         grid: &SweepGrid,
@@ -745,133 +702,32 @@ impl SweepRunner {
         R: Send,
         F: Fn(&SweepPoint, RunCtx, &dyn RecordSink) -> R + Sync,
     {
-        let n = grid.points.len();
-        assert_eq!(deps.len(), n, "one dependency list per grid point");
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut remaining: Vec<usize> = vec![0; n];
-        for (i, ds) in deps.iter().enumerate() {
-            remaining[i] = ds.len();
-            for &d in ds {
-                assert!(d < i, "dep {d} of point {i} is not strictly earlier");
-                dependents[d].push(i);
-            }
-        }
-        let ready: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
-        let root = grid.root_seed;
-        let ctx = |index: usize| RunCtx {
-            index,
-            seed: substream_seed(root, index as u64),
-        };
-        // Heartbeat lives on the calling thread only, fed from each
-        // finished point's shard; stderr only, result bytes unaffected.
-        let mut beat = self
-            .farm
-            .heartbeat_enabled()
-            .then(|| wt_obs::Heartbeat::start(n));
-        let mut pulse = |shard: &StoreShard| {
-            if let Some(b) = beat.as_mut() {
-                shard.peek(|rec| {
-                    if let Some(t) = &rec.telemetry {
-                        b.observe_run(t.events, t.wall.wall_us);
-                        observe_partition_marks(b, &t.marks);
-                    }
-                });
-                let totals = (
-                    counters.screened(),
-                    counters.aborted(),
-                    counters.early_stopped(),
-                );
-                if totals != (0, 0, 0) {
-                    b.observe_guided(totals.0, totals.1, totals.2);
-                }
-                if let Some(line) = b.tick() {
-                    eprintln!("{line}");
-                }
+        assert_eq!(deps.len(), grid.len(), "one dependency list per grid point");
+        let guided = |beat: &mut wt_obs::Heartbeat| {
+            let totals = (
+                counters.screened(),
+                counters.aborted(),
+                counters.early_stopped(),
+            );
+            if totals != (0, 0, 0) {
+                beat.observe_guided(totals.0, totals.1, totals.2);
             }
         };
-
-        let state = Mutex::new(Sched {
-            ready,
-            remaining,
-            issued: 0,
-            panic: None,
-        });
-        let cv = Condvar::new();
-        let mut slots: Vec<Option<(R, StoreShard)>> = (0..n).map(|_| None).collect();
-        let (tx, rx) = mpsc::channel::<(usize, R, StoreShard)>();
-        std::thread::scope(|scope| {
-            for _ in 0..self.farm.workers().min(n) {
-                let tx = tx.clone();
-                let (state, cv) = (&state, &cv);
-                let (eval, dependents) = (&eval, &dependents);
-                scope.spawn(move || loop {
-                    let i = {
-                        let mut s = state.lock().unwrap();
-                        loop {
-                            if s.issued == n || s.panic.is_some() {
-                                return;
-                            }
-                            if let Some(pos) = pick_ready(&s.ready, rank) {
-                                s.issued += 1;
-                                break s.ready.swap_remove(pos);
-                            }
-                            // Ready set is empty but points remain: some
-                            // issued point is still running (deps chain
-                            // down to an initially-ready point) and will
-                            // notify on completion.
-                            s = cv.wait(s).unwrap();
-                        }
-                    };
-                    let shard = StoreShard::new();
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                        eval(&grid.points[i], ctx(i), &shard)
-                    }));
-                    let mut s = state.lock().unwrap();
-                    match result {
-                        Ok(r) => {
-                            for &j in &dependents[i] {
-                                s.remaining[j] -= 1;
-                                if s.remaining[j] == 0 {
-                                    s.ready.push(j);
-                                }
-                            }
-                            drop(s);
-                            cv.notify_all();
-                            if tx.send((i, r, shard)).is_err() {
-                                return; // receiver gone: caller is unwinding
-                            }
-                        }
-                        Err(payload) => {
-                            // The point's dependents can never become
-                            // ready: wake every waiting worker so it
-                            // sees the failure and exits.
-                            s.panic.get_or_insert(payload);
-                            drop(s);
-                            cv.notify_all();
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(tx); // the receive loop ends when the last worker exits
-            for (i, r, shard) in rx {
-                pulse(&shard);
-                slots[i] = Some((r, shard));
-            }
-        });
-        if let Some(payload) = state.into_inner().unwrap().panic {
-            panic::resume_unwind(payload);
-        }
-
-        // Merge in grid-index order: record ids and snapshot order are
-        // the same whatever order execution took.
-        let mut results = Vec::with_capacity(n);
-        for slot in slots {
-            let (r, shard) = slot.expect("scheduler lost a point");
-            store.merge_shard(shard);
-            results.push(r);
-        }
-        results
+        self.farm
+            .schedule(
+                grid.root_seed,
+                &grid.points,
+                deps,
+                Some(rank),
+                guided,
+                |p, ctx, shard| eval(p, ctx, shard),
+            )
+            .into_iter()
+            .map(|(result, shard)| {
+                store.merge_shard(shard);
+                result
+            })
+            .collect()
     }
 
     /// The unrecorded path: one closure call per grid point with no
@@ -945,6 +801,9 @@ impl<'a> SweepReport<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::{mpsc, Mutex};
+    use wt_store::StoreShard;
 
     fn demo_spec() -> SweepSpec {
         SweepSpec::new("t")
@@ -1315,38 +1174,75 @@ mod tests {
 
     #[test]
     fn panicking_point_stops_every_worker() {
+        // Runs `f` off the test thread and returns the caught panic
+        // message plus the store size; a hung scheduler fails the test.
+        fn caught(f: impl FnOnce(&SharedStore) + Send + 'static) -> (Option<String>, usize) {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let store = SharedStore::new();
+                let payload = panic::catch_unwind(AssertUnwindSafe(|| f(&store))).err();
+                let message = payload.and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+                let _ = tx.send((message, store.len()));
+            });
+            rx.recv_timeout(std::time::Duration::from_secs(20))
+                .expect("runner hung after a point panicked")
+        }
+
         // Point 0 panics; 1..3 chain behind it and can never become
         // ready. The other worker must not wait for them forever: the
         // panic has to reach the caller.
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
+        let (message, records) = caught(|store| {
             let grid = guided_demo_grid(4);
             let deps = vec![vec![], vec![0], vec![1], vec![2]];
-            let store = SharedStore::new();
-            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-                SweepRunner::new(Farm::new(2)).run_points(
-                    &grid,
-                    &store,
-                    &deps,
-                    &|_| 0.0,
-                    &GuidedCounters::new(),
-                    |point, _ctx, _sink| {
-                        if point.index == 0 {
-                            panic!("point 0 failed");
-                        }
-                    },
-                )
-            }));
-            let message = caught
-                .err()
-                .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
-            let _ = tx.send((message, store.len()));
+            SweepRunner::new(Farm::new(2)).run_points(
+                &grid,
+                store,
+                &deps,
+                &|_| 0.0,
+                &GuidedCounters::new(),
+                |point, _ctx, _sink| {
+                    if point.index == 0 {
+                        panic!("point 0 failed");
+                    }
+                },
+            );
         });
-        let (message, records) = rx
-            .recv_timeout(std::time::Duration::from_secs(20))
-            .expect("runner hung after a point panicked");
         assert_eq!(message.as_deref(), Some("point 0 failed"));
         assert_eq!(records, 0, "a failed run merges nothing");
+
+        // The dependency-free entry points keep the same contract: the
+        // first payload reaches the caller, no further item is claimed,
+        // and nothing merges into the store.
+        for workers in [2, 4] {
+            for recorded in [false, true] {
+                let ran = std::sync::Arc::new(AtomicU64::new(0));
+                let counter = ran.clone();
+                let (message, records) = caught(move |store| {
+                    let items: Vec<u64> = (0..200).collect();
+                    let work = |&x: &u64, ctx: RunCtx, shard: Option<&StoreShard>| {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                        if let Some(shard) = shard {
+                            shard.record(RunRecord::new("panic-test", ctx.seed));
+                        }
+                        if x == 3 {
+                            panic!("item 3 failed");
+                        }
+                    };
+                    let farm = Farm::new(workers);
+                    if recorded {
+                        farm.run_recorded(1, &items, store, |x, ctx, s| work(x, ctx, Some(s)));
+                    } else {
+                        farm.run(1, &items, |x, ctx| work(x, ctx, None));
+                    }
+                });
+                let ran = ran.load(Ordering::SeqCst);
+                let label = format!("{workers} workers, recorded = {recorded}");
+                assert_eq!(message.as_deref(), Some("item 3 failed"), "{label}");
+                assert!(ran < 50, "{ran} of 200 items ran ({label})");
+                assert_eq!(records, 0, "a failed run merges nothing ({label})");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 /// A progress reporter for a sweep of known size.
 ///
-/// The farm's fold thread calls [`Heartbeat::tick`] once per completed
+/// The farm's calling thread calls [`Heartbeat::tick`] once per finished
 /// run and prints whatever line it returns to **stderr** — the heartbeat
 /// never runs on workers and never touches stdout, so enabling it cannot
 /// perturb results or their bytes. Lines are rate-limited to one per

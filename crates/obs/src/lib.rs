@@ -25,7 +25,7 @@
 //!   depth counter track, exported as Chrome trace-event JSON loadable
 //!   in `about:tracing` / [Perfetto](https://ui.perfetto.dev).
 //! * [`Heartbeat`] — farm progress lines (done/total, runs/s, ETA) for
-//!   the fold thread to print to stderr.
+//!   the farm's calling thread to print to stderr.
 
 pub mod heartbeat;
 pub mod probe;

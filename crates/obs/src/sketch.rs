@@ -1,7 +1,7 @@
 //! Mergeable, fixed-size sketches: distinct counts and quantiles in O(1)
 //! memory per metric.
 //!
-//! The farm aggregates statistics shard → ordered fold → sweep point, so
+//! The farm aggregates statistics shard → index-order merge → sweep point, so
 //! every summary it carries must honor the same contract `Counter` and
 //! `Tally` pin in `wt-des`: `merge` is associative, commutative, and a
 //! pure function of the observation multiset — the result is
@@ -178,7 +178,7 @@ pub const SKETCH_DEFAULT_MAX_BUCKETS: usize = 2048;
 ///
 /// `merge` sums bucket counts and re-applies the canonical collapse, so
 /// any merge tree over any partition of the observations yields the same
-/// bytes — the contract the farm's ordered fold relies on.
+/// bytes — the contract the farm's index-order merge relies on.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
     /// Relative accuracy α.
@@ -628,7 +628,7 @@ impl QuantileSketch {
     /// below every later collapse cut. `sum` rounds per f64 addition
     /// order, so merge in a fixed order for bitwise-identical bytes —
     /// the same contract `Tally::merge` pins, honored by the farm's
-    /// ordered fold.
+    /// index-order merge.
     pub fn merge(&mut self, other: &QuantileSketch) {
         assert!(
             self.alpha == other.alpha && self.max_buckets == other.max_buckets,

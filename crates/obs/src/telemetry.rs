@@ -56,7 +56,7 @@ impl WallHist {
 /// (the sketches' bucket/register state is order-independent, and each
 /// run records its observations in event order), so sketch-bearing
 /// telemetry stays bitwise-identical across worker counts. Merging
-/// across runs happens in the farm's ordered fold.
+/// across runs happens in the farm's index-order merge.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SketchSet {
     /// Quantile sketches by observation label.

@@ -8,9 +8,10 @@
 //! 1. **Record** — each run (or worker chunk) buffers its records into a
 //!    private [`StoreShard`]: a plain `Vec` push behind a `RefCell`, no
 //!    lock, no atomic, no contention.
-//! 2. **Merge** — shards travel to the fold thread with the run results
-//!    and are absorbed into the merged [`ResultStore`] **in run-index
-//!    order** (`windtunnel::farm` folds in exactly that order), so final
+//! 2. **Merge** — shards travel to the calling thread with the run
+//!    results and, after the last run finishes, are absorbed into the
+//!    merged [`ResultStore`] **in run-index order** (`windtunnel::farm`
+//!    merges in exactly that order), so final
 //!    record ids and snapshot order are bitwise-identical for any worker
 //!    count — the same guarantee the farm already makes for statistics.
 //!
@@ -38,7 +39,7 @@ pub trait RecordSink {
 /// Appends are plain `Vec::push`es through a `RefCell` — interior
 /// mutability so the farm's shared `Fn` closures can record without
 /// `&mut`, but never shared across threads (the shard itself moves to
-/// the fold thread for merging). Ids are not assigned here: the merged
+/// the calling thread for merging). Ids are not assigned here: the merged
 /// store assigns them in merge order, which the farm makes
 /// deterministic.
 #[derive(Debug, Default)]

@@ -432,9 +432,11 @@ impl ResultStore {
 
 /// A clonable, thread-safe handle to the *merged* store — what queries
 /// read and what shard merges fold into. Parallel recording does not go
-/// through this lock: workers buffer into [`StoreShard`]s and the fold
-/// thread merges them one lock acquisition per shard (see
-/// `windtunnel::farm::Farm::run_recorded`).
+/// through this lock: workers buffer into [`StoreShard`]s, and after the
+/// last run finishes the farm's calling thread merges them in run-index
+/// order, one lock acquisition per shard. `Farm::run_recorded` and
+/// `SweepRunner::run_points` share that one scheduler (see
+/// `windtunnel::farm`).
 #[derive(Debug, Clone, Default)]
 pub struct SharedStore {
     inner: Arc<RwLock<ResultStore>>,

@@ -3,7 +3,7 @@
 //!
 //! Every query runs on one executor: the planned configuration order
 //! becomes an explicit [`windtunnel::sweep::SweepGrid`] and runs through
-//! [`windtunnel::sweep::SweepRunner::run_points`], a dependency-DAG
+//! [`windtunnel::sweep::SweepRunner::run_points`] on the farm's one
 //! scheduler. Dominance pruning is its dependency edges — a point starts
 //! only once every configuration that could prune it has a verdict — so
 //! verdicts depend on plan order alone, never on worker count.

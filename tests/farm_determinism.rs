@@ -37,13 +37,10 @@ fn farm_fold_deterministic_under_load() {
     // regression where results reach the accumulator out of item order.
     let items: Vec<u64> = (0..400).collect();
     let digest = |workers: usize| {
-        Farm::new(workers).run_fold(
-            2014,
-            &items,
-            |&x, ctx| ctx.seed.wrapping_mul(x | 1),
-            0u64,
-            |acc, _idx, r| acc.rotate_left(7) ^ r,
-        )
+        Farm::new(workers)
+            .run(2014, &items, |&x, ctx| ctx.seed.wrapping_mul(x | 1))
+            .into_iter()
+            .fold(0u64, |acc, r| acc.rotate_left(7) ^ r)
     };
     let gold = digest(1);
     for workers in [2, 4, 8] {
